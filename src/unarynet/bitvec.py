@@ -12,6 +12,9 @@ from dataclasses import dataclass
 # A Hamming distance or weight is just a nonnegative int.
 HammingCount = int
 
+# bit values 0/1 -> ASCII '0'/'1', so int(..., 2) can read a word
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 @dataclass(frozen=True)
 class BitWord:
@@ -47,10 +50,7 @@ class BitWord:
 
     def to_int(self) -> int:
         """Value of the word read as plain binary, leftmost bit most significant."""
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
+        return int(bytes(self.bits).translate(_ASCII_BITS), 2)
 
     def __len__(self) -> int:
         return len(self.bits)

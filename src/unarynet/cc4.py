@@ -1,27 +1,31 @@
-"""CC4 corner-classification network: one-pass integer training and
-binary-step inference with a Hamming radius of generalization.
+"""CC4 corner-classification network, run by its radius law.
 
-Training assigns every weight directly from the data, in a single pass and
-in exact integer arithmetic. Each hidden neuron memorizes one training
-vector: its pattern weights are +1 where that vector has a 1 and -1 where it
-has a 0, and its bias weight is r - s + 1 (s = number of 1s in the vector).
-For a query at Hamming distance d from the vector, the hidden summation is
-exactly r + 1 - d, so the neuron fires precisely when d <= r. Output weights
-are +1/-1 copies of the desired output bits, and both layers step at
-"strictly positive": a summation of exactly 0 yields 0 (no decision).
+Training is one pass over the samples: hidden neuron i keeps its training
+input x_i as an anchor and its training output as a label. Neuron i fires on
+a query x exactly when the Hamming distance d(x, x_i) is at most the radius
+r, and output bit o is 1 when more than half of the fired neurons' labels
+have bit o set, so a tie, or a query no ball covers, gives 0.
+
+The paper proves this law with integer weights: the hidden row of x_i is +1
+where x_i has a 1 and -1 where it has a 0, with bias r - s + 1 (s = number of
+1s in x_i), so the hidden sum on x is r + 1 - d and the strict step fires
+exactly when d <= r. Output weights are +1/-1 copies of the label bits, so an
+output sum is (fired labels with the bit) - (fired labels without it). The
+weights are only the model file's form: save_network writes them, and
+load_network reads them back and enforces the bias rule on every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bitvec import BitWord, binary_encode
 
 MODEL_MAGIC = "CC4"
 MODEL_VERSION = 1
 
-# generalization_region enumerates 2^(pattern width) words
-ENUMERATION_LIMIT = 20
+_SIGNS = {"1", "-1"}
 
 
 @dataclass(frozen=True)
@@ -32,55 +36,40 @@ class TrainingSample:
 
 @dataclass(frozen=True)
 class CC4Network:
-    """Immutable trained network.
+    """Immutable trained network: one anchor and one label per hidden neuron.
 
-    hidden_weights is h rows of n integers (bias weight last); output_weights
-    is m rows of h integers, all +1 or -1. n counts the bias position, so
-    queries carry n - 1 pattern bits.
+    anchors[i] is neuron i's training input and labels[i] its training
+    output, each read as plain binary, leftmost bit most significant.
     """
 
     radius: int
-    hidden_weights: tuple[tuple[int, ...], ...]
-    output_weights: tuple[tuple[int, ...], ...]
+    pattern_width: int
+    output_count: int
+    anchors: tuple[int, ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-        if not self.hidden_weights:
+        if not self.anchors:
             raise ValueError("network has no hidden neurons")
-        n = len(self.hidden_weights[0])
-        if n < 2:
-            raise ValueError("input width must cover at least one pattern bit plus bias")
-        for row in self.hidden_weights:
-            if len(row) != n:
-                raise ValueError("ragged hidden weight rows")
-            for w in row[:-1]:
-                if w not in (-1, 1):
-                    raise ValueError(f"pattern weight {w} outside {{-1, 1}}")
-        h = len(self.hidden_weights)
-        for row in self.output_weights:
-            if len(row) != h:
-                raise ValueError("output weight row width does not match hidden count")
-            for w in row:
-                if w not in (-1, 1):
-                    raise ValueError(f"output weight {w} outside {{-1, 1}}")
+        if self.pattern_width < 1 or self.output_count < 1:
+            raise ValueError("pattern width and output count must be >= 1")
+        if len(self.labels) != len(self.anchors):
+            raise ValueError("label count does not match hidden count")
+        if min(self.anchors) < 0 or max(self.anchors) >> self.pattern_width:
+            raise ValueError(f"anchor outside {self.pattern_width} bits")
+        if min(self.labels) < 0 or max(self.labels) >> self.output_count:
+            raise ValueError(f"label outside {self.output_count} bits")
 
     @property
     def input_width(self) -> int:
-        """n: pattern bits plus the trailing bias position."""
-        return len(self.hidden_weights[0])
-
-    @property
-    def pattern_width(self) -> int:
-        return self.input_width - 1
+        """n: pattern bits plus the bias position of the weight form."""
+        return self.pattern_width + 1
 
     @property
     def hidden_count(self) -> int:
-        return len(self.hidden_weights)
-
-    @property
-    def output_count(self) -> int:
-        return len(self.output_weights)
+        return len(self.anchors)
 
 
 def train(samples: list[TrainingSample], radius: int) -> CC4Network:
@@ -91,8 +80,8 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    hidden_rows = []
-    out_columns = []
+    anchors = []
+    labels = []
     in_width = out_width = None
     for idx, sample in enumerate(samples):
         if in_width is None:
@@ -105,14 +94,11 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
             raise ValueError(
                 f"sample {idx} output length {len(sample.output)} != {out_width}"
             )
-        s = sum(sample.input.bits)
-        row = tuple(1 if b else -1 for b in sample.input.bits) + (radius - s + 1,)
-        hidden_rows.append(row)
-        out_columns.append(tuple(1 if b else -1 for b in sample.output.bits))
-    if not hidden_rows:
+        anchors.append(sample.input.to_int())
+        labels.append(sample.output.to_int())
+    if not anchors:
         raise ValueError("no training samples")
-    output_rows = tuple(zip(*out_columns))  # transpose to m rows x h columns
-    return CC4Network(radius, tuple(hidden_rows), output_rows)
+    return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
 def _check_query(net: CC4Network, x: BitWord) -> None:
@@ -123,63 +109,88 @@ def _check_query(net: CC4Network, x: BitWord) -> None:
 
 
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
-    """Hidden-layer step outputs for query x (bias input of 1 appended)."""
+    """Bit i is 1 iff d(x, anchor i) <= r."""
     _check_query(net, x)
-    bits = []
-    for row in net.hidden_weights:
-        # Only positions where x has a 1 contribute; the bias weight always does.
-        s = row[-1] + sum(w for w, b in zip(row, x.bits) if b)
-        bits.append(1 if s > 0 else 0)
-    return BitWord(tuple(bits))
+    query, radius = x.to_int(), net.radius
+    return BitWord(tuple(
+        1 if (query ^ anchor).bit_count() <= radius else 0
+        for anchor in net.anchors
+    ))
 
 
 def infer(net: CC4Network, x: BitWord) -> BitWord:
-    """Output-layer step outputs; all-zero means no region claimed the query."""
-    hidden = hidden_activations(net, x)
-    bits = []
-    for row in net.output_weights:
-        s = sum(w for w, a in zip(row, hidden.bits) if a)
-        bits.append(1 if s > 0 else 0)
-    return BitWord(tuple(bits))
+    """Majority of the fired labels per output bit; all-zero means no region
+    claimed the query or its votes tied."""
+    fired = [
+        label for label, bit in zip(net.labels, hidden_activations(net, x).bits)
+        if bit
+    ]
+    top = net.output_count - 1
+    return BitWord(tuple(
+        1 if 2 * sum((label >> (top - o)) & 1 for label in fired) > len(fired)
+        else 0
+        for o in range(net.output_count)
+    ))
 
 
 def generalization_region(net: CC4Network, hidden_index: int) -> set[BitWord]:
-    """Every query that makes the given hidden neuron fire.
-
-    By the weight assignment this is exactly the Hamming ball of radius r
-    around that neuron's training vector.
-    """
+    """Every query that makes the given hidden neuron fire: the Hamming ball
+    of radius r around its anchor, enumerated by flipping at most r bits."""
     if not 0 <= hidden_index < net.hidden_count:
         raise ValueError(f"hidden index {hidden_index} outside 0..{net.hidden_count - 1}")
     width = net.pattern_width
-    if width > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"pattern width {width} exceeds enumeration limit {ENUMERATION_LIMIT}"
-        )
-    row = net.hidden_weights[hidden_index]
-    region = set()
-    for value in range(1 << width):
-        x = binary_encode(value, width)
-        s = row[-1] + sum(w for w, b in zip(row, x.bits) if b)
-        if s > 0:
-            region.add(x)
-    return region
+    anchor = net.anchors[hidden_index]
+    return {
+        binary_encode(anchor ^ sum(1 << p for p in flips), width)
+        for d in range(min(net.radius, width) + 1)
+        for flips in combinations(range(width), d)
+    }
+
+
+def _sign_row(bits) -> str:
+    """'1'/'0' characters as space-separated +1/-1 weights."""
+    return " ".join(bits).replace("0", "-1")
 
 
 def save_network(net: CC4Network) -> str:
-    """Canonical line-oriented text form; round-trips bit-exactly."""
+    """The weight form as canonical text; round-trips bit-exactly."""
+    width, m, r = net.pattern_width, net.output_count, net.radius
     lines = [
         f"{MODEL_MAGIC} {MODEL_VERSION} {net.input_width} "
-        f"{net.hidden_count} {net.output_count} {net.radius}"
+        f"{net.hidden_count} {m} {r}"
     ]
-    for row in net.hidden_weights:
-        lines.append(" ".join(str(w) for w in row))
-    for row in net.output_weights:
-        lines.append(" ".join(str(w) for w in row))
+    for anchor in net.anchors:
+        signs = _sign_row(format(anchor, f"0{width}b"))
+        lines.append(f"{signs} {r - anchor.bit_count() + 1}")
+    label_bits = [format(label, f"0{m}b") for label in net.labels]
+    lines.extend(_sign_row(column) for column in zip(*label_bits))
     return "\n".join(lines) + "\n"
 
 
+def _row_fields(line: str, width: int, what: str) -> list[str]:
+    fields = line.split()
+    if len(fields) != width:
+        raise ValueError(f"{what} row has {len(fields)} fields, expected {width}")
+    return fields
+
+
+def _sign_bits(fields: list[str], line: str, what: str, weight: str) -> str:
+    """+1/-1 weight fields as a '1'/'0' string, 1 where the weight is +1."""
+    if not set(fields) <= _SIGNS:
+        try:
+            weights = [int(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"non-integer weight in {what} row: {line!r}") from None
+        for w in weights:
+            if w not in (-1, 1):
+                raise ValueError(f"{weight} weight {w} outside {{-1, 1}}")
+        fields = [str(w) for w in weights]
+    return "".join(fields).replace("-1", "0")
+
+
 def load_network(text: str) -> CC4Network:
+    """Parse the weight form; every hidden row must be +1/-1 signs followed
+    by the bias r - s + 1 that training writes."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty model text")
@@ -192,18 +203,29 @@ def load_network(text: str) -> CC4Network:
         raise ValueError(f"non-integer field in model header: {lines[0]!r}") from None
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model version {version}")
+    if n < 2 or h < 1 or m < 1:
+        raise ValueError(f"model header needs n >= 2, h >= 1, m >= 1: {lines[0]!r}")
     if len(lines) != 1 + h + m:
         raise ValueError(f"expected {1 + h + m} lines, found {len(lines)}")
 
-    def parse_row(line: str, width: int, what: str) -> tuple[int, ...]:
-        fields = line.split()
-        if len(fields) != width:
-            raise ValueError(f"{what} row has {len(fields)} fields, expected {width}")
+    anchors = []
+    biases = []
+    for line in lines[1:1 + h]:
+        fields = _row_fields(line, n, "hidden")
+        anchors.append(int(_sign_bits(fields[:-1], line, "hidden", "pattern"), 2))
         try:
-            return tuple(int(f) for f in fields)
+            biases.append(int(fields[-1]))
         except ValueError:
-            raise ValueError(f"non-integer weight in {what} row: {line!r}") from None
-
-    hidden = tuple(parse_row(lines[1 + i], n, "hidden") for i in range(h))
-    output = tuple(parse_row(lines[1 + h + i], h, "output") for i in range(m))
-    return CC4Network(radius, hidden, output)
+            raise ValueError(f"non-integer weight in hidden row: {line!r}") from None
+    columns = [
+        _sign_bits(_row_fields(line, h, "output"), line, "output", "output")
+        for line in lines[1 + h:]
+    ]
+    labels = tuple(int("".join(bits), 2) for bits in zip(*columns))
+    net = CC4Network(radius, n - 1, m, tuple(anchors), labels)
+    for i, (anchor, bias) in enumerate(zip(anchors, biases), start=1):
+        want = radius - anchor.bit_count() + 1
+        if bias != want:
+            raise ValueError(
+                f"hidden row {i} (line {i + 1}): bias {bias} != r - s + 1 = {want}")
+    return net

@@ -1,8 +1,9 @@
 """Exhaustive property checks over small parameter grids.
 
 Every library invariant is re-verified here against an independent route:
-distances against |x - y|, hidden-neuron firing against an integer popcount
-oracle, output bits against distance-derived votes. Checks are pure and
+distances against |x - y|, and hidden-neuron firing and output bits against
+the paper's weighted sums, which are built from the samples and the requested
+radius, never read from the network. Checks are pure and
 deterministic; random training sets come from the documented LCG, each
 property family using its own fixed seed offset so cells are independent.
 """
@@ -10,6 +11,7 @@ property family using its own fixed seed offset so cells are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 from . import bitvec, cc4, codes
 from .bitvec import BitWord
@@ -278,9 +280,8 @@ def check_generalized_min_distance(k: int, max_value: int) -> PropertyResult:
     The measured value is compared against the claimed k - 1; adjacent values
     differ in exactly k positions, so the expected measurement is k.
     """
-    book = codes.build_codebook(
-        codes.CodeSpec("generalized", max_value=max_value, repetition=k))
-    measured = codes.min_pairwise_distance(book)
+    measured = codes.min_pairwise_distance(
+        [codes.encode_generalized(n, k, max_value) for n in range(max_value + 1)])
     claimed = k - 1
     note = None
     if measured != claimed:
@@ -290,33 +291,45 @@ def check_generalized_min_distance(k: int, max_value: int) -> PropertyResult:
         passed=measured == k, measured=measured, claimed=claimed, note=note)
 
 
-def _oracle_distance(a: int, b: int) -> int:
-    """Independent popcount route, bypassing BitWord arithmetic."""
-    return (a ^ b).bit_count()
+def _weighted_rows(
+    samples: list[cc4.TrainingSample], radius: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The paper's hidden rows: +1 where the sample's input bit is 1, -1 where
+    it is 0, and the bias r - s + 1 (s = number of 1 bits)."""
+    return [
+        (tuple(1 if b else -1 for b in s.input.bits),
+         radius - sum(s.input.bits) + 1)
+        for s in samples
+    ]
+
+
+def _weighted_sums(rows: list[tuple[tuple[int, ...], int]],
+                   x: BitWord) -> list[int]:
+    """Bias plus the weights at x's 1 bits, one sum per row."""
+    return [bias + sum(compress(weights, x.bits)) for weights, bias in rows]
 
 
 def check_radius_law(
     width: int, radius: int, sets: int, max_samples: int,
     output_bits: int, rng: Lcg64,
 ) -> PropertyResult:
-    """Hidden neuron i fires on x iff oracle distance(x, x_i) <= r."""
+    """Hidden neuron i fires on x iff its weighted sum on x is positive."""
     params = {"width": width, "r": radius, "sets": sets}
     inputs = _all_words(width)
     for t in range(sets):
         samples = rng.next_training_set(max_samples, width, output_bits)
         net = cc4.train(samples, radius)
-        anchors = [s.input.to_int() for s in samples]
+        rows = _weighted_rows(samples, radius)
         for x in inputs:
-            fired = cc4.hidden_activations(net, x)
-            xi = x.to_int()
-            for i, anchor in enumerate(anchors):
-                expected = 1 if _oracle_distance(xi, anchor) <= radius else 0
-                if fired[i] != expected:
-                    return PropertyResult(
-                        "radius-law", params, False,
-                        counterexample=(
-                            f"set={t},neuron={i},x={x},fired={fired[i]},"
-                            f"dist={_oracle_distance(xi, anchor)}"))
+            fired = cc4.hidden_activations(net, x).bits
+            sums = _weighted_sums(rows, x)
+            if fired == tuple(1 if s > 0 else 0 for s in sums):
+                continue
+            i = next(i for i, s in enumerate(sums) if fired[i] != (s > 0))
+            return PropertyResult(
+                "radius-law", params, False,
+                counterexample=(
+                    f"set={t},neuron={i},x={x},fired={fired[i]},sum={sums[i]}"))
     return PropertyResult("radius-law", params, True)
 
 
@@ -324,22 +337,24 @@ def check_training_reproduction(
     width: int, radius: int, sets: int, max_samples: int,
     output_bits: int, rng: Lcg64,
 ) -> PropertyResult:
-    """infer on each training input matches the distance-derived vote.
+    """infer on each training input matches the paper's output sums.
 
-    Ties and conflicts between overlapping regions resolve to 0 by the strict
-    step rule, so the expected bit is vote > 0, not the sample's own bit.
+    Output weights are +1/-1 copies of the sample outputs, summed over the
+    neurons whose weighted hidden sum is positive. Ties and conflicts between
+    overlapping regions resolve to 0 by the strict step rule, so the expected
+    bit is vote > 0, not the sample's own bit.
     """
     params = {"width": width, "r": radius, "sets": sets}
     for t in range(sets):
         samples = rng.next_training_set(max_samples, width, output_bits)
         net = cc4.train(samples, radius)
-        anchors = [s.input.to_int() for s in samples]
+        rows = _weighted_rows(samples, radius)
         for i, sample in enumerate(samples):
-            fired = [j for j, a in enumerate(anchors)
-                     if _oracle_distance(anchors[i], a) <= radius]
+            fired = [s for s, total in zip(samples, _weighted_sums(rows, sample.input))
+                     if total > 0]
             expected_bits = []
             for o in range(output_bits):
-                vote = sum(1 if samples[j].output[o] else -1 for j in fired)
+                vote = sum(1 if s.output[o] else -1 for s in fired)
                 expected_bits.append(1 if vote > 0 else 0)
             got = cc4.infer(net, sample.input)
             if got != BitWord(tuple(expected_bits)):
@@ -378,21 +393,22 @@ def check_bias_rule(
 def check_complement_symmetry(
     width: int, max_samples: int, output_bits: int, radius: int, rng: Lcg64
 ) -> PropertyResult:
-    """Negating output column i bit o == retraining with that bit complemented."""
+    """Negating saved output weight (o, i) == retraining with sample i's
+    output bit o complemented."""
     params = {"width": width, "r": radius}
     samples = rng.next_training_set(max_samples, width, output_bits)
-    net = cc4.train(samples, radius)
+    lines = cc4.save_network(cc4.train(samples, radius)).splitlines()
     for i, sample in enumerate(samples):
         for o in range(output_bits):
             flipped_bits = list(sample.output.bits)
             flipped_bits[o] ^= 1
             flipped = samples.copy()
             flipped[i] = cc4.TrainingSample(sample.input, BitWord(tuple(flipped_bits)))
-            retrained = cc4.train(flipped, radius)
-            negated = [list(row) for row in net.output_weights]
-            negated[o][i] = -negated[o][i]
-            expected = replace(
-                net, output_weights=tuple(tuple(row) for row in negated))
+            retrained = cc4.save_network(cc4.train(flipped, radius)).splitlines()
+            expected = lines.copy()
+            row = expected[1 + len(samples) + o].split()
+            row[i] = str(-int(row[i]))
+            expected[1 + len(samples) + o] = " ".join(row)
             if retrained != expected:
                 return PropertyResult(
                     "complement-symmetry", params, False,
@@ -423,13 +439,14 @@ def check_one_pass(width: int, max_samples: int, output_bits: int,
 
 
 def check_integer_exactness(width: int, rng: Lcg64) -> PropertyResult:
-    """All weights and activations are exact ints over the full input space."""
+    """Saved weights are integer literals and activations are exact 0/1 ints
+    over the full input space."""
     params = {"width": width}
     samples = rng.next_training_set(5, width, 2)
     net = cc4.train(samples, 1)
     weights_ok = all(
-        type(w) is int for row in net.hidden_weights + net.output_weights
-        for w in row)
+        w.removeprefix("-").isdigit()
+        for line in cc4.save_network(net).splitlines()[1:] for w in line.split())
     bits_ok = True
     for x in _all_words(width):
         acts = cc4.hidden_activations(net, x)

@@ -1,6 +1,6 @@
 """Unary code families: basic (terminated), fixed-length thermometer, one-hot,
-and the k-repetition generalization, plus codebook construction and the
-exhaustive minimum-distance oracle.
+and the k-repetition generalization, plus the exhaustive minimum-distance
+oracle over a list of codewords.
 
 Orientation note: the fixed-length encoder fills 1s from the RIGHT
 (0000000111 for 3 of 10) while the one-hot thermometer transform fills from
@@ -10,12 +10,10 @@ and have identical Hamming geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import combinations
 
 from .bitvec import BitWord, HammingCount, hamming_distance, hamming_weight
-
-FAMILIES = ("basic", "fixed", "one_hot", "generalized")
 
 
 class DecodeError(ValueError):
@@ -139,113 +137,8 @@ def decode_generalized(w: BitWord, k: int) -> int:
     return ones // k
 
 
-@dataclass(frozen=True)
-class CodeSpec:
-    """Parameters selecting one codebook.
-
-    family        one of basic, fixed, one_hot, generalized
-    max_value     largest encodable value (one_hot: defaults to length)
-    length        codeword length for the fixed-length families
-    repetition    k for the generalized family
-    """
-
-    family: str
-    max_value: int | None = None
-    length: int | None = None
-    repetition: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "basic":
-            if self.max_value is None or self.max_value < 0:
-                raise ValueError("basic family needs max_value >= 0")
-            if self.length is not None and self.length < self.max_value + 1:
-                raise ValueError("basic family needs length >= max_value + 1")
-        elif self.family == "fixed":
-            if self.max_value is None or self.max_value < 0:
-                raise ValueError("fixed family needs max_value >= 0")
-            if self.word_length < max(self.max_value, 1):
-                raise ValueError("fixed family needs length >= max_value")
-        elif self.family == "one_hot":
-            if self.length is None or self.length < 1:
-                raise ValueError("one_hot family needs length >= 1")
-            if self.max_value is not None and self.max_value > self.length:
-                raise ValueError("one_hot family needs length >= max_value")
-        else:  # generalized
-            if self.repetition is None or self.repetition < 1:
-                raise ValueError("generalized family needs repetition k >= 1")
-            if self.max_value is None or self.max_value < 0:
-                raise ValueError("generalized family needs max_value >= 0")
-
-    @property
-    def word_length(self) -> int:
-        """Common length of every word in the codebook."""
-        if self.family == "basic":
-            return self.length if self.length is not None else self.max_value + 1
-        if self.family == "fixed":
-            if self.length is not None:
-                return self.length
-            return max(self.max_value, 1)
-        if self.family == "one_hot":
-            return self.length
-        return self.repetition * self.max_value + 1
-
-    @property
-    def values(self) -> range:
-        """Encodable values, in codebook order."""
-        if self.family == "one_hot":
-            return range(1, self.length + 1)
-        return range(0, self.max_value + 1)
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """All codewords of a CodeSpec, ordered by encoded value."""
-
-    spec: CodeSpec
-    words: tuple[BitWord, ...]
-
-    def __post_init__(self) -> None:
-        lengths = {len(w) for w in self.words}
-        if len(lengths) > 1:
-            raise ValueError("codebook words differ in length")
-        if len(set(self.words)) != len(self.words):
-            raise ValueError("codebook words are not pairwise distinct")
-
-    def dump(self) -> str:
-        """One line per value: '<n>\\t<bitstring>', ordered by value."""
-        lines = [f"{n}\t{w}" for n, w in zip(self.spec.values, self.words)]
-        return "\n".join(lines) + "\n"
-
-
-def _pad_right(w: BitWord, length: int) -> BitWord:
-    if length < len(w):
-        raise ValueError(f"cannot pad word of length {len(w)} to {length}")
-    if length == len(w):
-        return w
-    return BitWord(w.bits + (0,) * (length - len(w)))
-
-
-def build_codebook(spec: CodeSpec) -> Codebook:
-    if spec.family == "basic":
-        words = tuple(
-            _pad_right(encode_basic(n), spec.word_length) for n in spec.values
-        )
-    elif spec.family == "fixed":
-        words = tuple(encode_fixed(n, spec.word_length) for n in spec.values)
-    elif spec.family == "one_hot":
-        words = tuple(encode_one_hot(v, spec.word_length) for v in spec.values)
-    else:
-        words = tuple(
-            encode_generalized(n, spec.repetition, spec.max_value)
-            for n in spec.values
-        )
-    return Codebook(spec, words)
-
-
-def min_pairwise_distance(book: Codebook) -> HammingCount:
+def min_pairwise_distance(words: Sequence[BitWord]) -> HammingCount:
     """Exact minimum Hamming distance over all unordered pairs of codewords."""
-    if len(book.words) < 2:
+    if len(words) < 2:
         raise ValueError("minimum distance needs at least 2 codewords")
-    return min(hamming_distance(a, b) for a, b in combinations(book.words, 2))
+    return min(hamming_distance(a, b) for a, b in combinations(words, 2))

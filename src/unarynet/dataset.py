@@ -158,7 +158,11 @@ def evaluate(net: CC4Network, samples: list[TrainingSample]) -> EvalReport:
     if not samples:
         raise ValueError("no samples to evaluate")
     report = EvalReport(total=len(samples), exact_matches=0, no_decision=0)
-    for sample in samples:
+    for idx, sample in enumerate(samples):
+        if len(sample.output) != net.output_count:
+            raise ValueError(
+                f"sample {idx} output width {len(sample.output)} != "
+                f"model output count {net.output_count}")
         got = infer(net, sample.input)
         key = str(sample.output)
         matches, total = report.per_class.get(key, (0, 0))
@@ -193,12 +197,12 @@ def sweep_radius(
 ) -> list[SweepRow]:
     """Train one network per radius and tabulate accuracy and conflicts.
 
-    Evaluates on eval_samples when given (a held-out split), otherwise on the
-    training samples themselves.
+    Evaluates on eval_samples when given (a held-out split, which must not
+    be empty), otherwise on the training samples themselves.
     """
     if not radii:
         raise ValueError("empty radius range")
-    target = eval_samples if eval_samples else samples
+    target = samples if eval_samples is None else eval_samples
     rows = []
     for r in radii:
         net = train(samples, r)

@@ -27,20 +27,26 @@ def all_words(width):
     return [binary_encode(v, width) for v in range(1 << width)]
 
 
+def saved_rows(net):
+    """Weight rows of the saved model text: h hidden rows, then m output rows."""
+    return [[int(w) for w in line.split()]
+            for line in save_network(net).splitlines()[1:]]
+
+
 class TestWeightAssignment:
     def test_pattern_and_bias_weights(self):
         net = train([sample("1010", "1")], radius=1)
         # s = 2, bias = r - s + 1 = 0
-        assert net.hidden_weights == ((1, -1, 1, -1, 0),)
+        assert saved_rows(net)[0] == [1, -1, 1, -1, 0]
 
     @pytest.mark.parametrize("radius", [0, 1, 2, 5])
     def test_all_zero_input_bias_is_r_plus_one(self, radius):
         net = train([sample("0000", "1")], radius)
-        assert net.hidden_weights[0][-1] == radius + 1
+        assert saved_rows(net)[0][-1] == radius + 1
 
     def test_output_weights_copy_output_bits(self):
         net = train([sample("1010", "10")], radius=1)
-        assert net.output_weights == ((1,), (-1,))
+        assert saved_rows(net)[1:] == [[1], [-1]]
 
     def test_one_hidden_neuron_per_sample(self):
         samples = [sample("00", "1"), sample("01", "0"), sample("01", "0")]
@@ -53,7 +59,7 @@ class TestWeightAssignment:
             for _ in range(50):
                 word = rng.next_word(9)
                 net = train([TrainingSample(word, bw("1"))], radius)
-                assert net.hidden_weights[0][-1] == radius - sum(word.bits) + 1
+                assert saved_rows(net)[0][-1] == radius - sum(word.bits) + 1
 
     def test_train_rejects_bad_input(self):
         with pytest.raises(ValueError, match="no training samples"):
@@ -156,11 +162,12 @@ class TestGeneralizationRegion:
         with pytest.raises(ValueError, match="hidden index"):
             generalization_region(net, 1)
 
-    def test_enumeration_guard(self):
-        wide = TrainingSample(BitWord.zeros(21), bw("1"))
-        net = train([wide], 1)
-        with pytest.raises(ValueError, match="enumeration limit"):
-            generalization_region(net, 0)
+    def test_wide_pattern_enumerates_only_the_ball(self):
+        wide = TrainingSample(BitWord.zeros(64), bw("1"))
+        net = train([wide], 2)
+        region = generalization_region(net, 0)
+        assert len(region) == comb(64, 0) + comb(64, 1) + comb(64, 2)
+        assert max(sum(x.bits) for x in region) == 2
 
 
 class TestComplementSymmetry:
@@ -177,10 +184,10 @@ class TestComplementSymmetry:
             TrainingSample(samples[0].input, bw("0" if out_bit else "1")),
             samples[1],
         ]
-        retrained = train(flipped, radius)
-        assert retrained.hidden_weights == net.hidden_weights
-        assert retrained.output_weights[0][0] == -net.output_weights[0][0]
-        assert retrained.output_weights[0][1] == net.output_weights[0][1]
+        rows, retrained = saved_rows(net), saved_rows(train(flipped, radius))
+        assert retrained[:2] == rows[:2]
+        assert retrained[2][0] == -rows[2][0]
+        assert retrained[2][1] == rows[2][1]
 
 
 class CountingList(list):
@@ -219,11 +226,13 @@ class TestSerialization:
             ("", "empty"),
             ("XX4 1 5 1 1 1\n1 1 1 1 1\n1\n", "bad model header"),
             ("CC4 2 5 1 1 1\n1 1 1 1 1\n1\n", "version"),
+            ("CC4 1 1 1 1 0\n1\n1\n", "n >= 2"),
             ("CC4 1 5 1 1 1\n1 1 1 1 1\n1\n1\n", "expected 3 lines"),
             ("CC4 1 5 1 1 1\n1 1 1 1\n1\n", "hidden row has 4 fields"),
             ("CC4 1 5 1 1 1\n1 1 x 1 1\n1\n", "non-integer"),
             ("CC4 1 5 1 1 1\n1 2 1 1 1\n1\n", "pattern weight"),
             ("CC4 1 5 1 1 1\n1 1 1 1 1\n0\n", "output weight"),
+            ("CC4 1 5 1 1 1\n1 1 1 1 7\n1\n", r"hidden row 1 \(line 2\): bias 7"),
         ],
     )
     def test_load_rejects_malformed_text(self, text, message):
@@ -232,6 +241,6 @@ class TestSerialization:
 
     def test_network_invariants_enforced(self):
         with pytest.raises(ValueError, match="radius"):
-            CC4Network(-1, ((1, 0),), ((1,),))
+            CC4Network(-1, 1, 1, (1,), (1,))
         with pytest.raises(ValueError, match="no hidden"):
-            CC4Network(1, (), ())
+            CC4Network(1, 1, 1, (), ())

@@ -130,6 +130,33 @@ class TestTrainPredictEval:
         assert code == 1
         assert "query length" in err
 
+    def test_predict_rejects_tampered_bias(self, capsys, tmp_path):
+        model = tmp_path / "m.cc4"
+        run(capsys, "train", "--data", ANGLES, "--radius", "0",
+            "--bins", "4", "--length", "4", "--out", str(model))
+        lines = model.read_text().splitlines(keepends=True)
+        assert lines[1] == "-1 -1 -1 -1 1\n"
+        lines[1] = "-1 -1 -1 -1 7\n"
+        model.write_text("".join(lines))
+        code, out, err = run(capsys, "predict", "--model", str(model),
+                             "--input", "0000")
+        assert code == 1
+        assert out == ""
+        assert "hidden row 1 (line 2): bias 7" in err
+
+    def test_eval_rejects_output_width_mismatch(self, capsys, tmp_path):
+        model = tmp_path / "m.cc4"
+        data = tmp_path / "two.csv"
+        data.write_text("angle,label\n3,0\n4,1\n")
+        run(capsys, "train", "--data", ANGLES, "--radius", "0",
+            "--bins", "4", "--length", "4", "--out", str(model))
+        code, out, err = run(capsys, "eval", "--model", str(model),
+                             "--data", str(data))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "output width 2 != model output count 4" in err
+
     def test_train_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope.csv"),
                            "--radius", "0", "--bins", "2", "--length", "2",

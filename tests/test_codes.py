@@ -3,10 +3,7 @@ from hypothesis import given, strategies as st
 
 from unarynet.bitvec import BitWord, hamming_distance, hamming_weight
 from unarynet.codes import (
-    Codebook,
-    CodeSpec,
     DecodeError,
-    build_codebook,
     decode_basic,
     decode_fixed,
     decode_generalized,
@@ -200,76 +197,35 @@ class TestGeneralized:
 
 
 class TestCodebook:
-    def test_fixed_book_matches_reference_column(self):
-        book = build_codebook(CodeSpec("fixed", max_value=10, length=10))
-        assert [str(w) for w in book.words] == [
-            REFERENCE_ROWS[n][1] for n in range(11)
-        ]
-
-    def test_basic_book_pads_right(self):
-        book = build_codebook(CodeSpec("basic", max_value=10, length=11))
-        for n, word in enumerate(book.words):
-            assert len(word) == 11
-            assert str(word).startswith(REFERENCE_ROWS[n][0])
-            assert set(str(word)[n + 1:]) <= {"0"}
-
-    def test_one_hot_book(self):
-        book = build_codebook(CodeSpec("one_hot", length=4))
-        assert [str(w) for w in book.words] == ["1000", "0100", "0010", "0001"]
-        assert list(book.spec.values) == [1, 2, 3, 4]
+    """A codebook here is the list of a family's codewords, in value order."""
 
     def test_words_pairwise_distinct(self):
-        for family, kwargs in [
-            ("basic", dict(max_value=8)),
-            ("fixed", dict(max_value=8, length=8)),
-            ("one_hot", dict(length=8)),
-            ("generalized", dict(max_value=8, repetition=3)),
-        ]:
-            book = build_codebook(CodeSpec(family, **kwargs))
-            assert len(set(book.words)) == len(book.words)
-
-    def test_dump_format(self):
-        book = build_codebook(CodeSpec("fixed", max_value=3, length=4))
-        assert book.dump() == "0\t0000\n1\t0001\n2\t0011\n3\t0111\n"
-
-    def test_invalid_specs(self):
-        with pytest.raises(ValueError):
-            CodeSpec("nonsense", max_value=3)
-        with pytest.raises(ValueError):
-            CodeSpec("fixed", max_value=10, length=5)
-        with pytest.raises(ValueError):
-            CodeSpec("one_hot", length=3, max_value=5)
-        with pytest.raises(ValueError):
-            CodeSpec("generalized", max_value=4)
-        with pytest.raises(ValueError):
-            CodeSpec("basic", max_value=4, length=4)
+        for words in (
+            [encode_basic(n) for n in range(9)],
+            [encode_fixed(n, 8) for n in range(9)],
+            [encode_one_hot(v, 8) for v in range(1, 9)],
+            [encode_generalized(n, 3, 8) for n in range(9)],
+        ):
+            assert len(set(words)) == len(words)
 
     def test_min_distance_fixed_is_one(self):
-        book = build_codebook(CodeSpec("fixed", max_value=10, length=10))
-        assert min_pairwise_distance(book) == 1
+        words = [encode_fixed(n, 10) for n in range(11)]
+        assert min_pairwise_distance(words) == 1
 
     def test_min_distance_one_hot_is_two(self):
-        book = build_codebook(CodeSpec("one_hot", length=4))
-        assert min_pairwise_distance(book) == 2
+        words = [encode_one_hot(v, 4) for v in range(1, 5)]
+        assert min_pairwise_distance(words) == 2
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_min_distance_generalized_is_k(self, k):
         # adjacent values differ in exactly k positions, so the measured
         # minimum is k, not k - 1
-        book = build_codebook(CodeSpec("generalized", max_value=8, repetition=k))
-        assert min_pairwise_distance(book) == k
+        words = [encode_generalized(n, k, 8) for n in range(9)]
+        assert min_pairwise_distance(words) == k
 
     def test_min_distance_needs_two_words(self):
-        book = build_codebook(CodeSpec("basic", max_value=0))
         with pytest.raises(ValueError, match="at least 2"):
-            min_pairwise_distance(book)
-
-    def test_rejects_mixed_lengths_and_duplicates(self):
-        spec = CodeSpec("fixed", max_value=2, length=4)
-        with pytest.raises(ValueError, match="length"):
-            Codebook(spec, (bw("0101"), bw("01")))
-        with pytest.raises(ValueError, match="distinct"):
-            Codebook(spec, (bw("0101"), bw("0101")))
+            min_pairwise_distance([encode_basic(0)])
 
 
 @given(st.integers(0, 500))

@@ -175,6 +175,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no samples"):
             evaluate(net, [])
 
+    def test_output_width_mismatch_rejected(self):
+        net, _ = self.fit(0)
+        with pytest.raises(ValueError, match="output width 2 != model output count 4"):
+            evaluate(net, [TrainingSample(bw("0011"), bw("10"))])
+
     def test_report_lines_format(self):
         net, samples = self.fit(0)
         lines = evaluate(net, samples).lines()
@@ -209,6 +214,11 @@ class TestSweep:
         samples = quantize_encode(ds, QuantizationSpec(4, 4))
         rows = sweep_radius(samples[:2], [0], eval_samples=samples[2:])
         assert rows[0].total == 2
+
+    def test_empty_eval_set_rejected(self):
+        samples = [TrainingSample(bw("01"), bw("1"))]
+        with pytest.raises(ValueError, match="no samples"):
+            sweep_radius(samples, [0], eval_samples=[])
 
     def test_table_rendering(self):
         rows = sweep_radius([TrainingSample(bw("0101"), bw("1"))], [0, 1])
