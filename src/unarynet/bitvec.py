@@ -1,59 +1,78 @@
 """Fixed-length bit words, Hamming metrics, and binary/Gray reference encoders.
 
 Bits are most-significant-first: index 0 is the leftmost character of the
-textual form. All values are immutable and all functions are pure, so
-everything here is safe to share across threads.
+textual form, and a word's value is that text read as plain binary. All
+values are immutable and all functions are pure, so everything here is safe
+to share across threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 # A Hamming distance or weight is just a nonnegative int.
 HammingCount = int
 
-# bit values 0/1 -> ASCII '0'/'1', so int(..., 2) can read a word
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+# ASCII '0'/'1' -> bit values 0/1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitWord:
-    """An ordered, fixed-length sequence of 0/1 bits, leftmost bit first."""
+    """A word of `width` bits; `value` is the word read as plain binary,
+    leftmost bit most significant."""
 
-    bits: tuple[int, ...]
+    value: int
+    width: int
 
     def __post_init__(self) -> None:
-        if len(self.bits) == 0:
+        if self.width < 1:
             raise ValueError("BitWord must contain at least one bit")
-        for i, b in enumerate(self.bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit at position {i} is {b!r}, expected 0 or 1")
+        if not 0 <= self.value < 1 << self.width:
+            raise ValueError(f"value {self.value} does not fit in {self.width} bits")
 
     @classmethod
     def from_string(cls, text: str) -> "BitWord":
         """Parse a string of ASCII '0'/'1' characters (the CLI wire format)."""
         if not text:
             raise ValueError("empty bit string")
-        for i, ch in enumerate(text):
-            if ch not in "01":
-                raise ValueError(f"invalid character {ch!r} at position {i}")
-        return cls(tuple(1 if ch == "1" else 0 for ch in text))
+        rest = text.lstrip("01")
+        if rest:
+            raise ValueError(
+                f"invalid character {rest[0]!r} at position {len(text) - len(rest)}")
+        return cls(int(text, 2), len(text))
+
+    @classmethod
+    def from_bits(cls, bits: Sequence[int]) -> "BitWord":
+        """The word whose bits, leftmost first, are the given 0/1 ints."""
+        value = 0
+        for i, b in enumerate(bits):
+            if b not in (0, 1):
+                raise ValueError(f"bit at position {i} is {b!r}, expected 0 or 1")
+            value = value << 1 | b
+        return cls(value, len(bits))
 
     @classmethod
     def zeros(cls, length: int) -> "BitWord":
         if length < 1:
             raise ValueError("length must be >= 1")
-        return cls((0,) * length)
+        return cls(0, length)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The bits as a tuple of 0/1 ints, leftmost first."""
+        return tuple(str(self).encode("ascii").translate(_BIT_VALUES))
 
     def reverse(self) -> "BitWord":
-        return BitWord(self.bits[::-1])
+        return BitWord(int(str(self)[::-1], 2), self.width)
 
     def to_int(self) -> int:
         """Value of the word read as plain binary, leftmost bit most significant."""
-        return int(bytes(self.bits).translate(_ASCII_BITS), 2)
+        return self.value
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.width
 
     def __getitem__(self, index: int) -> int:
         return self.bits[index]
@@ -62,7 +81,7 @@ class BitWord:
         return iter(self.bits)
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return format(self.value, f"0{self.width}b")
 
 
 def hamming_distance(a: BitWord, b: BitWord) -> HammingCount:
@@ -71,14 +90,14 @@ def hamming_distance(a: BitWord, b: BitWord) -> HammingCount:
     Words of unequal length are not comparable; padding is the caller's
     explicit act via the fixed-length encoders.
     """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x ^ y for x, y in zip(a.bits, b.bits))
+    if a.width != b.width:
+        raise ValueError(f"length mismatch: {a.width} vs {b.width}")
+    return (a.value ^ b.value).bit_count()
 
 
 def hamming_weight(a: BitWord) -> HammingCount:
     """Number of 1-bits in a."""
-    return sum(a.bits)
+    return a.value.bit_count()
 
 
 def binary_encode(n: int, width: int) -> BitWord:
@@ -89,7 +108,7 @@ def binary_encode(n: int, width: int) -> BitWord:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n >= (1 << width):
         raise ValueError(f"{n} does not fit in {width} bits")
-    return BitWord(tuple((n >> (width - 1 - i)) & 1 for i in range(width)))
+    return BitWord(n, width)
 
 
 def gray_encode(n: int, width: int) -> BitWord:
@@ -108,7 +127,7 @@ def gray_encode(n: int, width: int) -> BitWord:
 
 def gray_decode(w: BitWord) -> int:
     """Inverse of gray_encode at any width."""
-    g = w.to_int()
+    g = w.value
     n = g
     g >>= 1
     while g:

@@ -18,14 +18,17 @@ load_network reads them back and enforces the bias rule on every row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
-from .bitvec import BitWord, binary_encode
+from .bitvec import BitWord
 
 MODEL_MAGIC = "CC4"
 MODEL_VERSION = 1
 
 _SIGNS = {"1", "-1"}
+
+# fire flags 0/1 -> ASCII '0'/'1', so int(..., 2) can read them as one word
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -84,53 +87,44 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     labels = []
     in_width = out_width = None
     for idx, sample in enumerate(samples):
+        x, y = sample.input, sample.output
         if in_width is None:
-            in_width, out_width = len(sample.input), len(sample.output)
-        elif len(sample.input) != in_width:
-            raise ValueError(
-                f"sample {idx} input length {len(sample.input)} != {in_width}"
-            )
-        elif len(sample.output) != out_width:
-            raise ValueError(
-                f"sample {idx} output length {len(sample.output)} != {out_width}"
-            )
-        anchors.append(sample.input.to_int())
-        labels.append(sample.output.to_int())
+            in_width, out_width = x.width, y.width
+        elif x.width != in_width:
+            raise ValueError(f"sample {idx} input length {x.width} != {in_width}")
+        elif y.width != out_width:
+            raise ValueError(f"sample {idx} output length {y.width} != {out_width}")
+        anchors.append(x.value)
+        labels.append(y.value)
     if not anchors:
         raise ValueError("no training samples")
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
 def _check_query(net: CC4Network, x: BitWord) -> None:
-    if len(x) != net.pattern_width:
+    if x.width != net.pattern_width:
         raise ValueError(
-            f"query length {len(x)} != pattern width {net.pattern_width}"
+            f"query length {x.width} != pattern width {net.pattern_width}"
         )
 
 
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
     """Bit i is 1 iff d(x, anchor i) <= r."""
     _check_query(net, x)
-    query, radius = x.to_int(), net.radius
-    return BitWord(tuple(
-        1 if (query ^ anchor).bit_count() <= radius else 0
-        for anchor in net.anchors
-    ))
+    query, radius = x.value, net.radius
+    fired = bytes((query ^ anchor).bit_count() <= radius for anchor in net.anchors)
+    return BitWord(int(fired.translate(_ASCII_BITS), 2), len(fired))
 
 
 def infer(net: CC4Network, x: BitWord) -> BitWord:
     """Majority of the fired labels per output bit; all-zero means no region
     claimed the query or its votes tied."""
-    fired = [
-        label for label, bit in zip(net.labels, hidden_activations(net, x).bits)
-        if bit
-    ]
-    top = net.output_count - 1
-    return BitWord(tuple(
-        1 if 2 * sum((label >> (top - o)) & 1 for label in fired) > len(fired)
-        else 0
-        for o in range(net.output_count)
-    ))
+    fired = list(compress(net.labels, hidden_activations(net, x).bits))
+    value = 0
+    for shift in range(net.output_count - 1, -1, -1):
+        votes = sum(label >> shift & 1 for label in fired)
+        value = value << 1 | (2 * votes > len(fired))
+    return BitWord(value, net.output_count)
 
 
 def generalization_region(net: CC4Network, hidden_index: int) -> set[BitWord]:
@@ -141,7 +135,7 @@ def generalization_region(net: CC4Network, hidden_index: int) -> set[BitWord]:
     width = net.pattern_width
     anchor = net.anchors[hidden_index]
     return {
-        binary_encode(anchor ^ sum(1 << p for p in flips), width)
+        BitWord(anchor ^ sum(1 << p for p in flips), width)
         for d in range(min(net.radius, width) + 1)
         for flips in combinations(range(width), d)
     }

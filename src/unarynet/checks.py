@@ -53,6 +53,8 @@ class CheckGrid:
             if not cond:
                 raise ValueError(f"grid guard exceeded: {what}")
 
+        for name in ("fixed_lengths", "gen_ks", "widths", "radii"):
+            guard(len(getattr(self, name)) > 0, f"{name} must not be empty")
         guard(1 <= self.metric_max_len <= MAX_METRIC_LEN,
               f"metric length must be 1..{MAX_METRIC_LEN}")
         guard(1 <= self.gray_width <= MAX_GRAY_WIDTH,
@@ -304,9 +306,9 @@ def _weighted_rows(
 
 
 def _weighted_sums(rows: list[tuple[tuple[int, ...], int]],
-                   x: BitWord) -> list[int]:
-    """Bias plus the weights at x's 1 bits, one sum per row."""
-    return [bias + sum(compress(weights, x.bits)) for weights, bias in rows]
+                   x_bits: tuple[int, ...]) -> list[int]:
+    """Bias plus the weights at the input's 1 bits, one sum per row."""
+    return [bias + sum(compress(weights, x_bits)) for weights, bias in rows]
 
 
 def check_radius_law(
@@ -315,17 +317,18 @@ def check_radius_law(
 ) -> PropertyResult:
     """Hidden neuron i fires on x iff its weighted sum on x is positive."""
     params = {"width": width, "r": radius, "sets": sets}
-    inputs = _all_words(width)
+    inputs = [(x, x.bits) for x in _all_words(width)]
     for t in range(sets):
         samples = rng.next_training_set(max_samples, width, output_bits)
         net = cc4.train(samples, radius)
         rows = _weighted_rows(samples, radius)
-        for x in inputs:
-            fired = cc4.hidden_activations(net, x).bits
-            sums = _weighted_sums(rows, x)
-            if fired == tuple(1 if s > 0 else 0 for s in sums):
+        for x, x_bits in inputs:
+            fired = str(cc4.hidden_activations(net, x))
+            sums = _weighted_sums(rows, x_bits)
+            want = "".join("1" if s > 0 else "0" for s in sums)
+            if fired == want:
                 continue
-            i = next(i for i, s in enumerate(sums) if fired[i] != (s > 0))
+            i = next(i for i, (f, w) in enumerate(zip(fired, want)) if f != w)
             return PropertyResult(
                 "radius-law", params, False,
                 counterexample=(
@@ -350,14 +353,14 @@ def check_training_reproduction(
         net = cc4.train(samples, radius)
         rows = _weighted_rows(samples, radius)
         for i, sample in enumerate(samples):
-            fired = [s for s, total in zip(samples, _weighted_sums(rows, sample.input))
-                     if total > 0]
+            sums = _weighted_sums(rows, sample.input.bits)
+            fired = [s for s, total in zip(samples, sums) if total > 0]
             expected_bits = []
             for o in range(output_bits):
                 vote = sum(1 if s.output[o] else -1 for s in fired)
                 expected_bits.append(1 if vote > 0 else 0)
             got = cc4.infer(net, sample.input)
-            if got != BitWord(tuple(expected_bits)):
+            if got != BitWord.from_bits(expected_bits):
                 return PropertyResult(
                     "training-reproduction", params, False,
                     counterexample=f"set={t},sample={i},got={got},"
@@ -403,7 +406,7 @@ def check_complement_symmetry(
             flipped_bits = list(sample.output.bits)
             flipped_bits[o] ^= 1
             flipped = samples.copy()
-            flipped[i] = cc4.TrainingSample(sample.input, BitWord(tuple(flipped_bits)))
+            flipped[i] = cc4.TrainingSample(sample.input, BitWord.from_bits(flipped_bits))
             retrained = cc4.save_network(cc4.train(flipped, radius)).splitlines()
             expected = lines.copy()
             row = expected[1 + len(samples) + o].split()

@@ -32,7 +32,7 @@ def encode_basic(n: int) -> BitWord:
     """n ones followed by a single terminating 0; length n + 1."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return BitWord((1,) * n + (0,))
+    return BitWord(((1 << n) - 1) << 1, n + 1)
 
 
 def decode_basic(w: BitWord) -> int:
@@ -59,7 +59,7 @@ def encode_fixed(n: int, length: int) -> BitWord:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > length:
         raise ValueError(f"n={n} exceeds code length {length}")
-    return BitWord((0,) * (length - n) + (1,) * n)
+    return BitWord((1 << n) - 1, length)
 
 
 def decode_fixed(w: BitWord) -> int:
@@ -79,7 +79,7 @@ def encode_one_hot(v: int, length: int) -> BitWord:
         raise ValueError("length must be >= 1")
     if not 1 <= v <= length:
         raise ValueError(f"value {v} outside 1..{length}")
-    return BitWord(tuple(1 if i == v - 1 else 0 for i in range(length)))
+    return BitWord(1 << (length - v), length)
 
 
 def decode_one_hot(w: BitWord) -> int:
@@ -94,11 +94,11 @@ def decode_one_hot(w: BitWord) -> int:
 
 def one_hot_to_thermometer(w: BitWord) -> BitWord:
     """Fill every position at or left of the single 1 with 1s."""
-    ones = [i for i, b in enumerate(w) if b == 1]
-    if len(ones) != 1:
-        raise ValueError(f"expected exactly one 1, found {len(ones)}")
-    pivot = ones[0]
-    return BitWord((1,) * (pivot + 1) + (0,) * (len(w) - pivot - 1))
+    ones = w.value.bit_count()
+    if ones != 1:
+        raise ValueError(f"expected exactly one 1, found {ones}")
+    # the 1 and every bit above it: all ones, minus the ones below the pivot
+    return BitWord(((1 << w.width) - 1) ^ (w.value - 1), w.width)
 
 
 def encode_generalized(n: int, k: int, max_value: int) -> BitWord:
@@ -113,8 +113,8 @@ def encode_generalized(n: int, k: int, max_value: int) -> BitWord:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > max_value:
         raise ValueError(f"n={n} exceeds max value {max_value}")
-    length = k * max_value + 1
-    return BitWord((1,) * (k * n) + (0,) * (length - k * n))
+    length, ones = k * max_value + 1, k * n
+    return BitWord(((1 << ones) - 1) << (length - ones), length)
 
 
 def decode_generalized(w: BitWord, k: int) -> int:

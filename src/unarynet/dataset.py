@@ -111,19 +111,17 @@ def quantize_encode(
 ) -> list[TrainingSample]:
     """Bin and encode every row; labels become one-hot output words."""
     classes = ds.num_classes
+    fixed = q.family == "fixed"
+    width = q.length * len(ds.feature_ranges)
     samples = []
     for features, label in ds.rows:
-        segments: list[int] = []
+        row = 0
         for value, (lo, hi) in zip(features, ds.feature_ranges):
             b = bin_index(value, lo, hi, q.bins, clamp=clamp)
-            if q.family == "fixed":
-                segments.extend(encode_fixed(b, q.length).bits)
-            else:
-                segments.extend(encode_one_hot(b + 1, q.length).bits)
+            segment = encode_fixed(b, q.length) if fixed else encode_one_hot(b + 1, q.length)
+            row = row << q.length | segment.value
         samples.append(
-            TrainingSample(
-                BitWord(tuple(segments)), encode_one_hot(label + 1, classes)
-            )
+            TrainingSample(BitWord(row, width), encode_one_hot(label + 1, classes))
         )
     return samples
 
@@ -170,7 +168,7 @@ def evaluate(net: CC4Network, samples: list[TrainingSample]) -> EvalReport:
         report.per_class[key] = (matches + (1 if hit else 0), total + 1)
         if hit:
             report.exact_matches += 1
-        if sum(got.bits) == 0:
+        if got.value == 0:
             report.no_decision += 1
     return report
 

@@ -37,7 +37,10 @@ class Lcg64:
         return self.next_u64() % n
 
     def next_word(self, width: int) -> BitWord:
-        return BitWord(tuple(self.next_bit() for _ in range(width)))
+        value = 0
+        for _ in range(width):
+            value = value << 1 | self.next_bit()
+        return BitWord(value, width)
 
     def next_training_set(
         self, max_samples: int, in_width: int, out_width: int

@@ -121,7 +121,7 @@ def test_criterion_5_gray_adjacency():
 def test_criterion_6_bias_rule():
     def check():
         rng = Lcg64(3)
-        out = BitWord((1,))
+        out = BitWord.from_bits((1,))
         for _ in range(200):
             r = rng.next_below(4)
             vec = rng.next_word(16)

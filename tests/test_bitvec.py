@@ -26,15 +26,31 @@ class TestBitWord:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            BitWord(())
+            BitWord.from_bits(())
         with pytest.raises(ValueError):
             BitWord.from_string("")
 
-    def test_rejects_non_bits(self):
+    # int(text, 2) accepts all but the first of these; the parser must not
+    @pytest.mark.parametrize(
+        "text, position",
+        [("01x0", 2), ("0b101", 1), (" 101", 0), ("101 ", 3), ("1_0", 1),
+         ("+1", 0), ("\u0661\u0660", 0)],
+        ids=["letter", "0b-prefix", "leading-space", "trailing-space",
+             "underscore", "plus-sign", "arabic-indic-digits"],
+    )
+    def test_rejects_non_bits(self, text, position):
+        with pytest.raises(ValueError, match=f"at position {position}$"):
+            BitWord.from_string(text)
+
+    def test_from_bits_rejects_non_bits(self):
         with pytest.raises(ValueError, match="position 1"):
-            BitWord((0, 2, 1))
-        with pytest.raises(ValueError, match="position 2"):
-            BitWord.from_string("01x0")
+            BitWord.from_bits((0, 2, 1))
+
+    def test_rejects_value_wider_than_width(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            BitWord(4, 2)
+        with pytest.raises(ValueError, match="does not fit"):
+            BitWord(-1, 2)
 
     def test_reverse(self):
         assert bw("0111").reverse() == bw("1110")
@@ -46,6 +62,29 @@ class TestBitWord:
 
     def test_hashable(self):
         assert len({bw("01"), bw("01"), bw("10")}) == 2
+
+
+bit_tuples = st.lists(st.integers(0, 1), min_size=1, max_size=300).map(tuple)
+
+
+class TestAgainstTuples:
+    """The int-backed word against plain tuple arithmetic."""
+
+    @given(bit_tuples)
+    def test_bits_text_and_reverse(self, t):
+        w = BitWord.from_bits(t)
+        assert w.bits == t
+        assert len(w) == len(t)
+        assert str(w) == "".join(map(str, t))
+        assert BitWord.from_string(str(w)) == w
+        assert w.reverse().bits == t[::-1]
+
+    @given(st.data())
+    def test_hamming_distance(self, data):
+        t = data.draw(bit_tuples)
+        u = data.draw(st.lists(st.integers(0, 1), min_size=len(t), max_size=len(t)))
+        assert hamming_distance(BitWord.from_bits(t), BitWord.from_bits(u)) == sum(
+            a != b for a, b in zip(t, u))
 
 
 class TestHamming:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from unarynet import checks
@@ -51,6 +53,12 @@ def test_seed_changes_draws_but_not_outcome():
         metric_max_len=3, gray_width=6, fixed_lengths=(4, 8), gen_ks=(2, 3),
         widths=(4,), radii=(0, 1), training_sets=3, bias_vectors=20, seed=3))
     assert a.passed and b.passed
+
+
+def test_default_grid_machine_output_is_pinned():
+    text = run_property_checks(CheckGrid()).render_machine()
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "63079766ed844dfeee2c41a15c73a238c2ee77dc9892db4f642e5ebd9fe40cae")
 
 
 def test_min_distance_audit_reports_both_values():
@@ -145,8 +153,15 @@ class TestParseGrid:
             parse_grid("widths")
 
     def test_guard_applies_to_parsed_grid(self):
-        with pytest.raises(ValueError, match="guard"):
-            parse_grid("ks=2-7")
+        for spec, message in [
+            ("ks=2-7", "repetition k must be"),
+            ("radii=3-1", "radii must not be empty"),
+            ("ks=3-2", "gen_ks must not be empty"),
+            ("widths=5-4", "widths must not be empty"),
+            ("lengths=9-8", "fixed_lengths must not be empty"),
+        ]:
+            with pytest.raises(ValueError, match=f"guard exceeded: {message}"):
+                parse_grid(spec)
 
 
 class TestLcg:

@@ -217,6 +217,12 @@ class TestCheck:
         assert code == 1
         assert "unknown grid key" in err
 
+    def test_empty_grid_range_exits_one(self, capsys):
+        code, out, err = run(capsys, "check", "--grid", "radii=3-1")
+        assert code == 1
+        assert out == ""
+        assert "radii must not be empty" in err
+
     def test_property_failure_exits_two(self, capsys, monkeypatch):
         failed = PropertyResult("gray-adjacency", {"width": 4}, False,
                                 counterexample="n=0,d=0")

@@ -171,7 +171,7 @@ class TestGeneralized:
     def test_k_equals_one_is_padded_basic(self):
         for n in range(6):
             padded = encode_basic(n).bits + (0,) * (5 - n)
-            assert encode_generalized(n, 1, 5) == BitWord(padded)
+            assert encode_generalized(n, 1, 5) == BitWord.from_bits(padded)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_distance_scales_by_k(self, k):
