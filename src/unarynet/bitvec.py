@@ -11,9 +11,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-# A Hamming distance or weight is just a nonnegative int.
-HammingCount = int
-
 # ASCII '0'/'1' -> bit values 0/1
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -84,7 +81,7 @@ class BitWord:
         return format(self.value, f"0{self.width}b")
 
 
-def hamming_distance(a: BitWord, b: BitWord) -> HammingCount:
+def hamming_distance(a: BitWord, b: BitWord) -> int:
     """Number of positions where a and b differ.
 
     Words of unequal length are not comparable; padding is the caller's
@@ -95,7 +92,7 @@ def hamming_distance(a: BitWord, b: BitWord) -> HammingCount:
     return (a.value ^ b.value).bit_count()
 
 
-def hamming_weight(a: BitWord) -> HammingCount:
+def hamming_weight(a: BitWord) -> int:
     """Number of 1-bits in a."""
     return a.value.bit_count()
 

@@ -101,16 +101,12 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
-def _check_query(net: CC4Network, x: BitWord) -> None:
+def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
+    """Bit i is 1 iff d(x, anchor i) <= r."""
     if x.width != net.pattern_width:
         raise ValueError(
             f"query length {x.width} != pattern width {net.pattern_width}"
         )
-
-
-def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
-    """Bit i is 1 iff d(x, anchor i) <= r."""
-    _check_query(net, x)
     query, radius = x.value, net.radius
     fired = bytes((query ^ anchor).bit_count() <= radius for anchor in net.anchors)
     return BitWord(int(fired.translate(_ASCII_BITS), 2), len(fired))
@@ -169,16 +165,14 @@ def _row_fields(line: str, width: int, what: str) -> list[str]:
 
 
 def _sign_bits(fields: list[str], line: str, what: str, weight: str) -> str:
-    """+1/-1 weight fields as a '1'/'0' string, 1 where the weight is +1."""
-    if not set(fields) <= _SIGNS:
+    """Literal '1'/'-1' weight fields as a '1'/'0' string, 1 where the weight is +1."""
+    if not _SIGNS.issuperset(fields):
+        bad = next(f for f in fields if f not in _SIGNS)
         try:
-            weights = [int(f) for f in fields]
+            int(bad)
         except ValueError:
             raise ValueError(f"non-integer weight in {what} row: {line!r}") from None
-        for w in weights:
-            if w not in (-1, 1):
-                raise ValueError(f"{weight} weight {w} outside {{-1, 1}}")
-        fields = [str(w) for w in weights]
+        raise ValueError(f"{weight} weight {bad!r} is not 1 or -1")
     return "".join(fields).replace("-1", "0")
 
 

@@ -24,6 +24,13 @@ MAX_FIXED_LENGTH = 64
 MAX_PATTERN_WIDTH = 12
 MAX_REPETITION = 5
 MAX_GEN_VALUE = 16
+MAX_RADIUS = MAX_PATTERN_WIDTH  # a larger ball already covers every word
+MAX_TRAINING_SETS = 100
+MAX_SAMPLES = 32
+MAX_OUTPUT_BITS = 8
+MAX_BIAS_VECTORS = 1000
+# a 'lo-hi' range longer than any valid tuple field is rejected before it is built
+MAX_RANGE_LEN = MAX_FIXED_LENGTH
 
 # seed offsets per property family that draws random data
 OFFSET_RADIUS_LAW = 0
@@ -31,6 +38,11 @@ OFFSET_REPRODUCTION = 1
 OFFSET_COMPLEMENT = 2
 OFFSET_BIAS = 3
 OFFSET_EXACTNESS = 4
+
+
+def _guard(cond: bool, what: str) -> None:
+    if not cond:
+        raise ValueError(f"grid guard exceeded: {what}")
 
 
 @dataclass(frozen=True)
@@ -49,29 +61,30 @@ class CheckGrid:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        def guard(cond: bool, what: str) -> None:
-            if not cond:
-                raise ValueError(f"grid guard exceeded: {what}")
-
         for name in ("fixed_lengths", "gen_ks", "widths", "radii"):
-            guard(len(getattr(self, name)) > 0, f"{name} must not be empty")
-        guard(1 <= self.metric_max_len <= MAX_METRIC_LEN,
-              f"metric length must be 1..{MAX_METRIC_LEN}")
-        guard(1 <= self.gray_width <= MAX_GRAY_WIDTH,
-              f"gray width must be 1..{MAX_GRAY_WIDTH}")
-        guard(all(1 <= l <= MAX_FIXED_LENGTH for l in self.fixed_lengths),
-              f"fixed lengths must be 1..{MAX_FIXED_LENGTH}")
-        guard(all(1 <= k <= MAX_REPETITION for k in self.gen_ks),
-              f"repetition k must be 1..{MAX_REPETITION}")
-        guard(1 <= self.gen_max_value <= MAX_GEN_VALUE,
-              f"generalized max value must be 1..{MAX_GEN_VALUE}")
-        guard(all(1 <= w <= MAX_PATTERN_WIDTH for w in self.widths),
-              f"pattern widths must be 1..{MAX_PATTERN_WIDTH}")
-        guard(all(r >= 0 for r in self.radii), "radii must be nonnegative")
-        guard(self.training_sets >= 1, "training_sets must be >= 1")
-        guard(self.max_samples >= 1, "max_samples must be >= 1")
-        guard(self.output_bits >= 1, "output_bits must be >= 1")
-        guard(self.bias_vectors >= 1, "bias_vectors must be >= 1")
+            _guard(len(getattr(self, name)) > 0, f"{name} must not be empty")
+        _guard(1 <= self.metric_max_len <= MAX_METRIC_LEN,
+               f"metric length must be 1..{MAX_METRIC_LEN}")
+        _guard(1 <= self.gray_width <= MAX_GRAY_WIDTH,
+               f"gray width must be 1..{MAX_GRAY_WIDTH}")
+        _guard(all(1 <= l <= MAX_FIXED_LENGTH for l in self.fixed_lengths),
+               f"fixed lengths must be 1..{MAX_FIXED_LENGTH}")
+        _guard(all(1 <= k <= MAX_REPETITION for k in self.gen_ks),
+               f"repetition k must be 1..{MAX_REPETITION}")
+        _guard(1 <= self.gen_max_value <= MAX_GEN_VALUE,
+               f"generalized max value must be 1..{MAX_GEN_VALUE}")
+        _guard(all(1 <= w <= MAX_PATTERN_WIDTH for w in self.widths),
+               f"pattern widths must be 1..{MAX_PATTERN_WIDTH}")
+        _guard(all(0 <= r <= MAX_RADIUS for r in self.radii),
+               f"radii must be 0..{MAX_RADIUS}")
+        _guard(1 <= self.training_sets <= MAX_TRAINING_SETS,
+               f"training_sets must be 1..{MAX_TRAINING_SETS}")
+        _guard(1 <= self.max_samples <= MAX_SAMPLES,
+               f"max_samples must be 1..{MAX_SAMPLES}")
+        _guard(1 <= self.output_bits <= MAX_OUTPUT_BITS,
+               f"output_bits must be 1..{MAX_OUTPUT_BITS}")
+        _guard(1 <= self.bias_vectors <= MAX_BIAS_VECTORS,
+               f"bias_vectors must be 1..{MAX_BIAS_VECTORS}")
 
 
 @dataclass
@@ -553,14 +566,19 @@ def parse_grid(spec: str) -> CheckGrid:
                 f"unknown grid key {key!r}; known: {', '.join(sorted(_GRID_KEYS))}")
         attr = _GRID_KEYS[key]
         try:
-            if attr in _TUPLE_KEYS:
-                if "-" in raw:
-                    lo, _, hi = raw.partition("-")
-                    overrides[attr] = tuple(range(int(lo), int(hi) + 1))
-                else:
-                    overrides[attr] = tuple(int(v) for v in raw.split("/"))
+            if attr not in _TUPLE_KEYS:
+                value = int(raw)
+            elif "-" in raw:
+                lo, _, hi = raw.partition("-")
+                value = range(int(lo), int(hi) + 1)
             else:
-                overrides[attr] = int(raw)
+                value = tuple(int(v) for v in raw.split("/"))
         except ValueError as exc:
             raise ValueError(f"bad value for grid key {key!r}: {raw!r}") from exc
+        if isinstance(value, range):
+            # stop - start, not len(): len() overflows past sys.maxsize
+            _guard(value.stop - value.start <= MAX_RANGE_LEN,
+                   f"{key} range {raw} is longer than {MAX_RANGE_LEN}")
+            value = tuple(value)
+        overrides[attr] = value
     return replace(CheckGrid(), **overrides)

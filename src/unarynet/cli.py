@@ -25,15 +25,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--length", type=int)
     p.add_argument("--k", type=int)
+    p.set_defaults(run=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a codeword back to its integer")
     p.add_argument("--family", required=True,
                    choices=["basic", "fixed", "one-hot", "generalized"])
     p.add_argument("--word", required=True)
     p.add_argument("--k", type=int)
+    p.set_defaults(run=_cmd_decode)
 
     p = sub.add_parser("table", help="print a reference code table")
     p.add_argument("--which", required=True, choices=["1", "2"])
+    p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("train", help="train a model from a CSV dataset")
     p.add_argument("--data", required=True)
@@ -42,12 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--family", choices=["fixed", "one-hot"], default="fixed")
-    p.add_argument("--clamp", action="store_true",
-                   help="clamp out-of-range feature values instead of failing")
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("predict", help="run one encoded input through a model")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
+    p.set_defaults(run=_cmd_predict)
 
     p = sub.add_parser("eval", help="evaluate a model on a CSV dataset")
     p.add_argument("--model", required=True)
@@ -59,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default: model width / feature count)")
     p.add_argument("--family", choices=["fixed", "one-hot"], default="fixed")
     p.add_argument("--clamp", action="store_true")
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("sweep", help="tabulate accuracy per radius")
     p.add_argument("--data", required=True)
@@ -70,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["fixed", "one-hot"], default="fixed")
     p.add_argument("--holdout-every", type=int, metavar="N",
                    help="hold out every Nth row for evaluation")
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("check", help="run the exhaustive property checks")
     p.add_argument("--grid", default="default",
@@ -77,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(e.g. 'widths=4/8,radii=0-3,sets=5,seed=7')")
     p.add_argument("--machine", action="store_true",
                    help="emit the line-oriented machine format")
+    p.set_defaults(run=_cmd_check)
     return parser
 
 
@@ -86,19 +92,19 @@ def _family_key(family: str) -> str:
 
 def _cmd_encode(args) -> int:
     family = _family_key(args.family)
+    if family in ("fixed", "one_hot") and args.length is None:
+        raise ValueError(f"--length is required for the {args.family} family")
     if family == "basic":
         word = codes.encode_basic(args.n)
     elif family == "fixed":
-        if args.length is None:
-            raise ValueError("--length is required for the fixed family")
         word = codes.encode_fixed(args.n, args.length)
     elif family == "one_hot":
-        if args.length is None:
-            raise ValueError("--length is required for the one-hot family")
         word = codes.encode_one_hot(args.n, args.length)
     else:
         if args.k is None:
             raise ValueError("--k is required for the generalized family")
+        if args.k < 1:
+            raise ValueError("k must be >= 1")
         if args.length is not None:
             if (args.length - 1) % args.k != 0:
                 raise ValueError(
@@ -136,7 +142,7 @@ def _cmd_table(args) -> int:
 def _cmd_train(args) -> int:
     ds = dataset.load_dataset(args.data)
     q = dataset.QuantizationSpec(args.bins, args.length, _family_key(args.family))
-    samples = dataset.quantize_encode(ds, q, clamp=args.clamp)
+    samples = dataset.quantize_encode(ds, q)
     net = cc4.train(samples, args.radius)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(cc4.save_network(net))
@@ -210,18 +216,6 @@ def _cmd_check(args) -> int:
     return 0 if report.passed else 2
 
 
-_HANDLERS = {
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "table": _cmd_table,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "check": _cmd_check,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -230,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; --help exits 0
         return 0 if exc.code == 0 else 1
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import combinations
 
-from .bitvec import BitWord, HammingCount, hamming_distance, hamming_weight
+from .bitvec import BitWord, hamming_distance, hamming_weight
 
 
 class DecodeError(ValueError):
@@ -29,26 +29,14 @@ class DecodeError(ValueError):
 
 
 def encode_basic(n: int) -> BitWord:
-    """n ones followed by a single terminating 0; length n + 1."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return BitWord(((1 << n) - 1) << 1, n + 1)
+    """n ones followed by a single terminating 0; length n + 1. This is the
+    generalized code with k = 1 and max value n."""
+    return encode_generalized(n, 1, n)
 
 
 def decode_basic(w: BitWord) -> int:
     """Count of leading ones; rejects any word that is not ones-then-zeros."""
-    n = 0
-    seen_zero = False
-    for i, b in enumerate(w):
-        if b == 1:
-            if seen_zero:
-                raise DecodeError("1 after terminating 0", i)
-            n += 1
-        else:
-            seen_zero = True
-    if not seen_zero:
-        raise DecodeError("no terminating 0", len(w))
-    return n
+    return decode_generalized(w, 1)
 
 
 def encode_fixed(n: int, length: int) -> BitWord:
@@ -137,7 +125,7 @@ def decode_generalized(w: BitWord, k: int) -> int:
     return ones // k
 
 
-def min_pairwise_distance(words: Sequence[BitWord]) -> HammingCount:
+def min_pairwise_distance(words: Sequence[BitWord]) -> int:
     """Exact minimum Hamming distance over all unordered pairs of codewords."""
     if len(words) < 2:
         raise ValueError("minimum distance needs at least 2 codewords")

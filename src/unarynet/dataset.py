@@ -80,10 +80,14 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
     if not rows:
         raise ValueError(f"{source}: no rows")
     labels = {label for _, label in rows}
-    missing = set(range(max(labels) + 1)) - labels
-    if missing:
+    top = max(labels)
+    if len(labels) != top + 1:
+        # fewer than len(labels) labels lie below len(labels) + 2, so the first
+        # 3 gaps do: the scan never depends on how large top is
+        first = [v for v in range(min(top, len(labels) + 2)) if v not in labels][:3]
         raise ValueError(
-            f"{source}: labels not dense in 0..{max(labels)}: missing {sorted(missing)}"
+            f"{source}: labels not dense in 0..{top}: "
+            f"{top + 1 - len(labels)} missing, first missing {first}"
         )
     ranges = tuple(
         (min(r[0][i] for r in rows), max(r[0][i] for r in rows))

@@ -231,6 +231,12 @@ class TestSerialization:
             ("CC4 1 5 1 1 1\n1 1 1 1\n1\n", "hidden row has 4 fields"),
             ("CC4 1 5 1 1 1\n1 1 x 1 1\n1\n", "non-integer"),
             ("CC4 1 5 1 1 1\n1 2 1 1 1\n1\n", "pattern weight"),
+            ("CC4 1 5 1 1 1\n1 +1 1 1 1\n1\n", "pattern weight '\\+1' is not 1 or -1"),
+            ("CC4 1 5 1 1 1\n1 01 1 1 1\n1\n", "pattern weight '01' is not 1 or -1"),
+            ("CC4 1 5 1 1 1\n1 1 1 -01 1\n1\n", "pattern weight '-01' is not 1 or -1"),
+            ("CC4 1 5 1 1 1\n1 1 1 1 -2\n01\n", "output weight '01' is not 1 or -1"),
+            ("CC4 1 5 x 1 1\n1 1 1 1 1\n1\n", "non-integer field in model header"),
+            ("CC4 1 5 1 1 1\n1 1 1 1 x\n1\n", "non-integer weight in hidden row: '1 1 1 1 x'"),
             ("CC4 1 5 1 1 1\n1 1 1 1 1\n0\n", "output weight"),
             ("CC4 1 5 1 1 1\n1 1 1 1 7\n1\n", r"hidden row 1 \(line 2\): bias 7"),
         ],
@@ -244,3 +250,15 @@ class TestSerialization:
             CC4Network(-1, 1, 1, (1,), (1,))
         with pytest.raises(ValueError, match="no hidden"):
             CC4Network(1, 1, 1, (), ())
+        with pytest.raises(ValueError, match="pattern width and output count"):
+            CC4Network(1, 0, 1, (0,), (0,))
+        with pytest.raises(ValueError, match="pattern width and output count"):
+            CC4Network(1, 1, 0, (0,), (0,))
+        with pytest.raises(ValueError, match="label count does not match"):
+            CC4Network(1, 1, 1, (0, 1), (0,))
+        for anchor in (-1, 2):
+            with pytest.raises(ValueError, match="anchor outside 1 bits"):
+                CC4Network(1, 1, 1, (anchor,), (0,))
+        for label in (-1, 2):
+            with pytest.raises(ValueError, match="label outside 1 bits"):
+                CC4Network(1, 1, 1, (0,), (label,))

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -159,9 +160,28 @@ class TestParseGrid:
             ("ks=3-2", "gen_ks must not be empty"),
             ("widths=5-4", "widths must not be empty"),
             ("lengths=9-8", "fixed_lengths must not be empty"),
+            ("sets=1000000000", "training_sets must be 1..100"),
+            ("samples=1000000000", "max_samples must be 1..32"),
+            ("outbits=100000", "output_bits must be 1..8"),
+            ("bias=1000000000", "bias_vectors must be 1..1000"),
+            ("radii=13", "radii must be 0..12"),
+            ("samples=1000000000,sets=1000000000,outbits=100000,bias=1000000000",
+             "training_sets must be"),
+            ("widths=1-65", "widths range 1-65 is longer than 64"),
+            ("radii=0-100000000000000000000", "radii range .* is longer than 64"),
         ]:
             with pytest.raises(ValueError, match=f"guard exceeded: {message}"):
                 parse_grid(spec)
+
+    def test_long_range_rejected_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="widths range 1-1000000000"):
+                parse_grid("widths=1-1000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestLcg:

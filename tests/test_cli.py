@@ -63,6 +63,14 @@ class TestEncodeDecode:
         assert code == 1
         assert "k*N+1" in err
 
+    def test_generalized_rejects_k_below_one(self, capsys):
+        code, out, err = run(capsys, "encode", "--family", "generalized",
+                             "--n", "1", "--k", "0", "--length", "5")
+        assert code == 1
+        assert out == ""
+        assert "k must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_malformed_word_exits_one(self, capsys):
         code, _, err = run(capsys, "decode", "--family", "basic",
                            "--word", "1011")
@@ -156,6 +164,15 @@ class TestTrainPredictEval:
         assert out == ""
         assert err.startswith("error: ")
         assert "output width 2 != model output count 4" in err
+
+    def test_train_has_no_clamp_flag(self, capsys, tmp_path):
+        model = tmp_path / "m.cc4"
+        code, _, err = run(capsys, "train", "--data", ANGLES, "--radius", "0",
+                           "--bins", "4", "--length", "4", "--out", str(model),
+                           "--clamp")
+        assert code == 1
+        assert "--clamp" in err
+        assert not model.exists()
 
     def test_train_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope.csv"),

@@ -66,6 +66,24 @@ class TestBasic:
         with pytest.raises(ValueError):
             encode_basic(-1)
 
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_decode_matches_string_reference(self, width):
+        for value in range(1 << width):
+            text = format(value, f"0{width}b")
+            ones = len(text) - len(text.lstrip("1"))
+            late_one = text.find("1", ones)
+            if ones == width:
+                want = ("no terminating 0", width)
+            elif late_one != -1:
+                want = ("1 after terminating 0", late_one)
+            else:
+                assert decode_basic(bw(text)) == ones
+                continue
+            with pytest.raises(DecodeError) as exc:
+                decode_basic(bw(text))
+            assert str(exc.value) == f"{want[0]} at position {want[1]}"
+            assert exc.value.position == want[1]
+
 
 class TestFixed:
     @pytest.mark.parametrize("n", REFERENCE_ROWS)

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,16 @@ class TestParsing:
     def test_labels_must_be_dense(self):
         with pytest.raises(ValueError, match="missing \\[1\\]"):
             parse_dataset("a,label\n1,0\n2,2\n")
+
+    def test_huge_label_rejected_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"1000000000 missing, first missing \[0, 1, 2\]"):
+                parse_dataset("a,label\n1,1000000000\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_negative_label(self):
         with pytest.raises(ValueError, match="negative label"):
