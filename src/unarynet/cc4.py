@@ -30,6 +30,10 @@ _SIGNS = {"1", "-1"}
 # fire flags 0/1 -> ASCII '0'/'1', so int(..., 2) can read them as one word
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
+# _BYTE_SIGNS[v]: the eight weights of byte v, most significant bit first
+_BYTE_SIGNS = [" ".join("1" if v >> k & 1 else "-1" for k in range(7, -1, -1))
+               for v in range(256)]
+
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -137,83 +141,104 @@ def generalization_region(net: CC4Network, hidden_index: int) -> set[BitWord]:
     }
 
 
-def _sign_row(bits) -> str:
-    """'1'/'0' characters as space-separated +1/-1 weights."""
-    return " ".join(bits).replace("0", "-1")
+def _sign_row(value: int, width: int) -> str:
+    """The width bits of value as space-separated weights: 1 for a 1, -1 for a 0."""
+    nbytes = -(-width // 8)
+    row = " ".join([_BYTE_SIGNS[b] for b in value.to_bytes(nbytes, "big")])
+    return row[3 * (8 * nbytes - width):]  # the leading pad weights, "-1 " each
+
+
+def _read_signs(text: str, width: int) -> int | None:
+    """The value whose _sign_row is exactly text, or None (the parse is loose,
+    the re-render is the check)."""
+    try:
+        digits = text.encode().translate(None, b" ").replace(b"-1", b"0")
+        value = int(digits, 2)  # width is the header's: render only rows that long
+        return value if len(digits) == width and _sign_row(value, width) == text else None
+    except (ValueError, OverflowError):
+        return None
 
 
 def save_network(net: CC4Network) -> str:
     """The weight form as canonical text; round-trips bit-exactly."""
-    width, m, r = net.pattern_width, net.output_count, net.radius
-    lines = [
-        f"{MODEL_MAGIC} {MODEL_VERSION} {net.input_width} "
-        f"{net.hidden_count} {m} {r}"
-    ]
+    width, h, m, r = net.pattern_width, net.hidden_count, net.output_count, net.radius
+    lines = [f"{MODEL_MAGIC} {MODEL_VERSION} {net.input_width} {h} {m} {r}"]
     for anchor in net.anchors:
-        signs = _sign_row(format(anchor, f"0{width}b"))
-        lines.append(f"{signs} {r - anchor.bit_count() + 1}")
+        lines.append(f"{_sign_row(anchor, width)} {r - anchor.bit_count() + 1}")
     label_bits = [format(label, f"0{m}b") for label in net.labels]
-    lines.extend(_sign_row(column) for column in zip(*label_bits))
+    lines.extend(_sign_row(int("".join(column), 2), h) for column in zip(*label_bits))
     return "\n".join(lines) + "\n"
 
 
-def _row_fields(line: str, width: int, what: str) -> list[str]:
+def _reread(line: str, lineno: int, width: int, what: str) -> int:
+    """Read a row the exact read rejected field by field, raising on the first
+    bad field; else its +1/-1 signs as an int (a hidden row ends in its bias)."""
     fields = line.split()
     if len(fields) != width:
-        raise ValueError(f"{what} row has {len(fields)} fields, expected {width}")
-    return fields
-
-
-def _sign_bits(fields: list[str], line: str, what: str, weight: str) -> str:
-    """Literal '1'/'-1' weight fields as a '1'/'0' string, 1 where the weight is +1."""
-    if not _SIGNS.issuperset(fields):
-        bad = next(f for f in fields if f not in _SIGNS)
-        try:
-            int(bad)
-        except ValueError:
-            raise ValueError(f"non-integer weight in {what} row: {line!r}") from None
-        raise ValueError(f"{weight} weight {bad!r} is not 1 or -1")
-    return "".join(fields).replace("-1", "0")
+        raise ValueError(
+            f"line {lineno}: {what} row has {len(fields)} fields, expected {width}")
+    signs, bias = (fields[:-1], fields[-1]) if what == "hidden" else (fields, "0")
+    bad = next((f for f in signs if f not in _SIGNS), None)
+    try:
+        int(bias if bad is None else bad)
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: non-integer weight in {what} row: {line!r}") from None
+    if bad is not None:
+        weight = "pattern" if what == "hidden" else "output"
+        raise ValueError(f"line {lineno}: {weight} weight {bad!r} is not 1 or -1")
+    return int("".join(signs).replace("-1", "0"), 2)
 
 
 def load_network(text: str) -> CC4Network:
-    """Parse the weight form; every hidden row must be +1/-1 signs followed
-    by the bias r - s + 1 that training writes."""
+    """Parse the weight form: exactly the text save_network writes, whose
+    hidden rows are +1/-1 signs followed by the bias r - s + 1 training writes.
+    A row the exact read rejects is re-read field by field to name the fault."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty model text")
     header = lines[0].split()
     if len(header) != 6 or header[0] != MODEL_MAGIC:
-        raise ValueError(f"bad model header: {lines[0]!r}")
+        raise ValueError(f"line 1: bad model header: {lines[0]!r}")
     try:
         version, n, h, m, radius = (int(f) for f in header[1:])
     except ValueError:
-        raise ValueError(f"non-integer field in model header: {lines[0]!r}") from None
+        raise ValueError(
+            f"line 1: non-integer field in model header: {lines[0]!r}") from None
     if version != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {version}")
+        raise ValueError(f"line 1: unsupported model version {version}")
     if n < 2 or h < 1 or m < 1:
-        raise ValueError(f"model header needs n >= 2, h >= 1, m >= 1: {lines[0]!r}")
+        raise ValueError(
+            f"line 1: model header needs n >= 2, h >= 1, m >= 1: {lines[0]!r}")
+    canonical = f"{MODEL_MAGIC} {version} {n} {h} {m} {radius}"
+    if lines[0] != canonical:
+        raise ValueError(
+            f"line 1: model header {lines[0]!r} is not in canonical form {canonical!r}")
     if len(lines) != 1 + h + m:
         raise ValueError(f"expected {1 + h + m} lines, found {len(lines)}")
 
     anchors = []
-    biases = []
-    for line in lines[1:1 + h]:
-        fields = _row_fields(line, n, "hidden")
-        anchors.append(int(_sign_bits(fields[:-1], line, "hidden", "pattern"), 2))
-        try:
-            biases.append(int(fields[-1]))
-        except ValueError:
-            raise ValueError(f"non-integer weight in hidden row: {line!r}") from None
-    columns = [
-        _sign_bits(_row_fields(line, h, "output"), line, "output", "output")
-        for line in lines[1 + h:]
-    ]
+    late = ""  # a hidden row's wrong bias or spelling, raised once every field is checked
+    for lineno, line in enumerate(lines[1:1 + h], start=2):
+        signs, _, bias = line.rpartition(" ")
+        anchor = _read_signs(signs, n - 1)
+        if anchor is None or bias != str(radius - anchor.bit_count() + 1):
+            anchor = _reread(line, lineno, n, "hidden")
+            bias, want = int(line.split()[-1]), radius - anchor.bit_count() + 1
+            fault = f"bias {bias} != r - s + 1 = {want}" if bias != want else (
+                f"not in canonical form: {line!r}")
+            late = late or f"hidden row {lineno - 1} (line {lineno}): {fault}"
+        anchors.append(anchor)
+    columns = []
+    for lineno, line in enumerate(lines[1 + h:], start=2 + h):
+        column = _read_signs(line, h)
+        if column is None:
+            _reread(line, lineno, h, "output")
+            raise ValueError(
+                f"line {lineno}: output row is not in canonical form: {line!r}")
+        columns.append(format(column, f"0{h}b"))
     labels = tuple(int("".join(bits), 2) for bits in zip(*columns))
     net = CC4Network(radius, n - 1, m, tuple(anchors), labels)
-    for i, (anchor, bias) in enumerate(zip(anchors, biases), start=1):
-        want = radius - anchor.bit_count() + 1
-        if bias != want:
-            raise ValueError(
-                f"hidden row {i} (line {i + 1}): bias {bias} != r - s + 1 = {want}")
+    if late:
+        raise ValueError(late)
     return net

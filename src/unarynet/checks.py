@@ -29,7 +29,7 @@ MAX_TRAINING_SETS = 100
 MAX_SAMPLES = 32
 MAX_OUTPUT_BITS = 8
 MAX_BIAS_VECTORS = 1000
-# a 'lo-hi' range longer than any valid tuple field is rejected before it is built
+# most values of a 'lo-hi' range (checked before it is built) or an 'a/b/c' list
 MAX_RANGE_LEN = MAX_FIXED_LENGTH
 
 # seed offsets per property family that draws random data
@@ -580,5 +580,9 @@ def parse_grid(spec: str) -> CheckGrid:
             _guard(value.stop - value.start <= MAX_RANGE_LEN,
                    f"{key} range {raw} is longer than {MAX_RANGE_LEN}")
             value = tuple(value)
+        elif attr in _TUPLE_KEYS:
+            _guard(len(value) <= MAX_RANGE_LEN,
+                   f"{key} list has {len(value)} values, more than {MAX_RANGE_LEN}")
+            _guard(len(set(value)) == len(value), f"{key} list {raw} repeats a value")
         overrides[attr] = value
     return replace(CheckGrid(), **overrides)

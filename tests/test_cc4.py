@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -220,6 +221,31 @@ class TestSerialization:
         assert load_network(text) == net
         assert save_network(load_network(text)) == text
 
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_save_matches_per_bit_reference(self, data):
+        # widths on both sides of whole bytes, drawn apart from the rest
+        width = data.draw(st.one_of(st.integers(1, 300), st.sampled_from([7, 8, 9, 257])))
+        h, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 9))
+        radius = data.draw(st.integers(0, width))
+        anchors = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=h, max_size=h))
+        labels = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=h, max_size=h))
+        net = CC4Network(radius, width, m, tuple(anchors), tuple(labels))
+
+        def signs(bits):
+            return " ".join("1" if b else "-1" for b in bits)
+
+        def bits_of(value, w):
+            return [value >> (w - 1 - k) & 1 for k in range(w)]
+
+        expected = [f"CC4 1 {width + 1} {h} {m} {radius}"]
+        expected += [f"{signs(bits_of(a, width))} {radius - sum(bits_of(a, width)) + 1}"
+                     for a in anchors]
+        expected += [signs([label >> (m - 1 - o) & 1 for label in labels]) for o in range(m)]
+        text = save_network(net)
+        assert text == "\n".join(expected) + "\n"
+        assert load_network(text) == net
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -239,11 +265,40 @@ class TestSerialization:
             ("CC4 1 5 1 1 1\n1 1 1 1 x\n1\n", "non-integer weight in hidden row: '1 1 1 1 x'"),
             ("CC4 1 5 1 1 1\n1 1 1 1 1\n0\n", "output weight"),
             ("CC4 1 5 1 1 1\n1 1 1 1 7\n1\n", r"hidden row 1 \(line 2\): bias 7"),
+            # header fields int() reads but save_network never writes
+            ("CC4 01 5 1 1 1\n-1 -1 -1 -1 2\n1\n", "line 1: model header 'CC4 01 5"),
+            ("CC4 1 5 1 1 +1\n-1 -1 -1 -1 2\n1\n", "line 1: .* not in canonical form"),
+            ("CC4 1 5 1 1 0_1\n-1 -1 -1 -1 2\n1\n", "line 1: .* not in canonical form"),
+            ("CC4 1 5 1 1 \u0661\n-1 -1 -1 -1 2\n1\n", "line 1: .* not in canonical form"),
+            ("CC4\t1 5 1 1 1\n-1 -1 -1 -1 2\n1\n", "line 1: .* not in canonical form"),
+            ("CC4 1  5 1 1 1\n-1 -1 -1 -1 2\n1\n", "line 1: .* not in canonical form"),
+            # the bias 2 and the row spelt other than save_network writes them
+            ("CC4 1 5 1 1 1\n-1 -1 -1 -1 +2\n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 1 1\n-1 -1 -1 -1 02\n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 1 1\n-1 -1 -1 -1 0_2\n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 1 1\n-1 -1 -1 -1 \u0662\n1\n", r"row 1 \(line 2\): not in canon"),
+            ("CC4 1 5 1 1 1\n-1  -1 -1 -1 2\n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 1 1\n-1\t-1 -1 -1 2\n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2 \n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 1 1\n -1 -1 -1 -1 2\n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 2 1\n-1 -1 -1 -1 2\n1\n1 \n", "line 4: output row is not in canon"),
+            ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n-1 1\n", "line 3: output row has 2 fields"),
         ],
     )
     def test_load_rejects_malformed_text(self, text, message):
         with pytest.raises(ValueError, match=message):
             load_network(text)
+
+    def test_header_width_bounds_no_allocation(self):
+        # a forged n must not size the re-render of a short row
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="line 2: hidden row has 5 fields"):
+                load_network("CC4 1 10000001 1 1 1\n1 1 1 1 -2\n1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_network_invariants_enforced(self):
         with pytest.raises(ValueError, match="radius"):

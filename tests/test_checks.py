@@ -169,6 +169,8 @@ class TestParseGrid:
              "training_sets must be"),
             ("widths=1-65", "widths range 1-65 is longer than 64"),
             ("radii=0-100000000000000000000", "radii range .* is longer than 64"),
+            ("widths=" + "/".join(["12"] * 1000), "widths list has 1000 values, more than 64"),
+            ("radii=1/1/1", "radii list 1/1/1 repeats a value"),
         ]:
             with pytest.raises(ValueError, match=f"guard exceeded: {message}"):
                 parse_grid(spec)

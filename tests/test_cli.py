@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from unarynet import checks
+from unarynet.cc4 import load_network, save_network
 from unarynet.checks import PropertyResult
 from unarynet.cli import main
 
@@ -151,6 +152,39 @@ class TestTrainPredictEval:
         assert code == 1
         assert out == ""
         assert "hidden row 1 (line 2): bias 7" in err
+
+    @pytest.mark.parametrize("lineno, old, new", [
+        (1, "CC4 1", "CC4 01"), (1, " 0\n", " +0\n"), (1, " 0\n", " 0_0\n"),
+        (1, " 0\n", " \u0660\n"), (1, "CC4 ", "CC4\t"),
+        (2, " 1\n", " +1\n"), (2, " 1\n", " 01\n"), (2, " 1\n", " 0_1\n"),
+        (2, " 1\n", " \u0661\n"),
+        (4, " ", "  "), (4, " ", "\t"), (4, "\n", " \n"),
+    ])
+    def test_predict_rejects_respelt_model(self, capsys, tmp_path, lineno, old, new):
+        model = tmp_path / "m.cc4"
+        run(capsys, "train", "--data", ANGLES, "--radius", "0",
+            "--bins", "4", "--length", "4", "--out", str(model))
+        lines = model.read_text().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+        model.write_bytes("".join(lines).encode())  # UTF-8 for the non-ASCII digits
+        code, out, err = run(capsys, "predict", "--model", str(model),
+                             "--input", "0000")
+        assert code == 1
+        assert out == ""
+        assert f"line {lineno}" in err
+        assert "Traceback" not in err
+
+    def test_train_writes_golden_model(self, capsys, tmp_path):
+        model = tmp_path / "angles_r1.cc4"
+        code, _, _ = run(capsys, "train", "--data", ANGLES, "--radius", "1",
+                         "--bins", "4", "--length", "4", "--out", str(model))
+        assert code == 0
+        golden = GOLDEN / "angles_r1.cc4.golden"
+        assert model.read_bytes() == golden.read_bytes()
+        # 0000 fires the anchors 0000 and 0001, whose classes get one of two votes each
+        code, out, _ = run(capsys, "predict", "--model", str(golden), "--input", "0000")
+        assert (code, out) == (0, "0000\n")
+        assert save_network(load_network(golden.read_text())) == golden.read_text()
 
     def test_eval_rejects_output_width_mismatch(self, capsys, tmp_path):
         model = tmp_path / "m.cc4"
