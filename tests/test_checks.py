@@ -2,8 +2,9 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unarynet import checks
+from unarynet import bitvec, cc4, checks
 from unarynet.bitvec import BitWord
 from unarynet.checks import (
     CheckGrid,
@@ -97,8 +98,6 @@ def test_broken_encoder_yields_counterexample(monkeypatch):
 
 
 def test_broken_training_caught_by_radius_law(monkeypatch):
-    from unarynet import cc4
-
     real = cc4.train
 
     def off_by_one(samples, radius):
@@ -107,7 +106,124 @@ def test_broken_training_caught_by_radius_law(monkeypatch):
     monkeypatch.setattr(cc4, "train", off_by_one)
     result = checks.check_radius_law(4, 1, 3, 5, 2, Lcg64(1))
     assert not result.passed
-    assert "neuron=" in result.counterexample
+    assert result.counterexample == "set=0,neuron=1,x=0000,fired=1,sum=0"
+
+
+def _flip_fired_bit(monkeypatch, query, neuron, from_call=0):
+    """hidden_activations that flips one neuron's fire bit on one query, from
+    that query's from_call-th call on."""
+    real = cc4.hidden_activations
+    calls = []
+
+    def flipped(net, x):
+        fired = real(net, x)
+        if x.value != query:
+            return fired
+        calls.append(x)
+        if len(calls) <= from_call:
+            return fired
+        return BitWord(fired.value ^ 1 << (fired.width - 1 - neuron), fired.width)
+
+    monkeypatch.setattr(cc4, "hidden_activations", flipped)
+
+
+def test_flipped_fire_bit_caught_by_radius_law(monkeypatch):
+    _flip_fired_bit(monkeypatch, 0b1001, 2)
+    result = checks.check_radius_law(4, 1, 3, 5, 2, Lcg64(1))
+    assert result == PropertyResult(
+        "radius-law", {"width": 4, "r": 1, "sets": 3}, False,
+        counterexample="set=0,neuron=2,x=1001,fired=1,sum=-1")
+
+
+def test_flipped_first_neuron_caught_in_a_later_set(monkeypatch):
+    _flip_fired_bit(monkeypatch, 0b1011001110, 0, from_call=1)
+    result = checks.check_radius_law(10, 3, 20, 10, 2, Lcg64(1))
+    assert result.counterexample == "set=1,neuron=0,x=1011001110,fired=1,sum=-2"
+
+
+def _break_distance(monkeypatch, broken):
+    """hamming_distance that returns broken(a, b, d) for the true distance d."""
+    real = bitvec.hamming_distance
+    monkeypatch.setattr(
+        bitvec, "hamming_distance", lambda a, b: broken(a.value, b.value, real(a, b)))
+
+
+def _on_pair(pair, delta):
+    return lambda a, b, d: d + delta if {a, b} == pair else d
+
+
+@pytest.mark.parametrize(
+    "length, broken, name, counterexample",
+    [
+        (3, lambda a, b, d: d + (a < b), "metric-symmetry", "a=000,b=001"),
+        (3, lambda a, b, d: 0 if {a, b} == {2, 5} else d, "metric-identity",
+         "a=010,b=101,d=0"),
+        # d(001, 110) = 6, above L = 3
+        (3, _on_pair({1, 6}, 3), "metric-triangle", "a=001,b=000,c=110"),
+        (8, _on_pair({0x5A, 0xC3}, 3), "metric-triangle",
+         "a=01011010,b=00000010,c=11000011"),
+        # negative distances
+        (3, lambda a, b, d: -2 if {a, b} == {3, 4} else d, "metric-triangle",
+         "a=000,b=011,c=100"),
+        (8, _on_pair({0x5A, 0xC3}, -5), "metric-triangle",
+         "a=00000000,b=01011010,c=11000011"),
+    ],
+)
+def test_broken_distance_caught_by_metric_axioms(
+        monkeypatch, length, broken, name, counterexample):
+    _break_distance(monkeypatch, broken)
+    assert checks.check_metric_axioms(length) == PropertyResult(
+        name, {"len": length}, False, counterexample=counterexample)
+
+
+def _metric_axioms_by_triple_loop(length):
+    """Reference: every pair for symmetry and identity, then every triple."""
+    words = [BitWord(v, length) for v in range(1 << length)]
+    count = len(words)
+    dist = [[bitvec.hamming_distance(a, b) for b in words] for a in words]
+    for i in range(count):
+        for j in range(i, count):
+            if dist[i][j] != dist[j][i]:
+                return PropertyResult(
+                    "metric-symmetry", {"len": length}, False,
+                    counterexample=f"a={words[i]},b={words[j]}")
+            if (dist[i][j] == 0) != (i == j):
+                return PropertyResult(
+                    "metric-identity", {"len": length}, False,
+                    counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
+    for i in range(count):
+        for j in range(count):
+            for c in range(count):
+                if dist[i][c] > dist[i][j] + dist[j][c]:
+                    return PropertyResult(
+                        "metric-triangle", {"len": length}, False,
+                        counterexample=f"a={words[i]},b={words[j]},c={words[c]}")
+    return PropertyResult("metric-axioms", {"len": length}, True)
+
+
+@st.composite
+def _distance_tables(draw):
+    """An L <= 3 table of values in -2..L+3; most are symmetric with a zero
+    diagonal, so that the triangle pass is reached."""
+    length = draw(st.integers(1, 3))
+    count = 1 << length
+    values = st.integers(-2, length + 3)
+    table = [[draw(values) for _ in range(count)] for _ in range(count)]
+    if draw(st.integers(0, 3)):
+        for i in range(count):
+            table[i][i] = 0
+            for j in range(i):
+                table[i][j] = table[j][i]
+    return length, table
+
+
+@settings(max_examples=300)
+@given(_distance_tables())
+def test_metric_axioms_match_triple_loop(drawn):
+    length, table = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitvec, "hamming_distance", lambda a, b: table[a.value][b.value])
+        assert checks.check_metric_axioms(length) == _metric_axioms_by_triple_loop(length)
 
 
 class TestGuards:
