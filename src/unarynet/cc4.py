@@ -17,6 +17,7 @@ load_network reads them back and enforces the bias rule on every row.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations, compress
 
@@ -170,6 +171,17 @@ def save_network(net: CC4Network) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quote(line: str, right: str = "") -> str:
+    """repr(line) if it is short, else of the 30 characters either side of the
+    first character where line and right differ."""
+    if len(line) <= 120:
+        return repr(line)
+    pairs = enumerate(zip(line, right))
+    at = next((k for k, (a, b) in pairs if a != b), min(len(line), len(right)))
+    window = line[max(at - 30, 0):at + 30]
+    return f"{window!r} at column {at + 1} of {len(line)}"
+
+
 def _reread(line: str, lineno: int, width: int, what: str) -> int:
     """Read a row the exact read rejected field by field, raising on the first
     bad field; else its +1/-1 signs as an int (a hidden row ends in its bias)."""
@@ -182,38 +194,45 @@ def _reread(line: str, lineno: int, width: int, what: str) -> int:
     try:
         int(bias if bad is None else bad)
     except ValueError:
-        raise ValueError(
-            f"line {lineno}: non-integer weight in {what} row: {line!r}") from None
+        fault = [f.start() for f in re.finditer(r"\S+", line)][
+            -1 if bad is None else signs.index(bad)]  # all before it is right
+        raise ValueError(f"line {lineno}: non-integer weight in {what} row: "
+                         f"{_quote(line, line[:fault])}") from None
     if bad is not None:
         weight = "pattern" if what == "hidden" else "output"
-        raise ValueError(f"line {lineno}: {weight} weight {bad!r} is not 1 or -1")
+        raise ValueError(f"line {lineno}: {weight} weight {_quote(bad)} is not 1 or -1")
     return int("".join(signs).replace("-1", "0"), 2)
 
 
 def load_network(text: str) -> CC4Network:
     """Parse the weight form: exactly the text save_network writes, whose
     hidden rows are +1/-1 signs followed by the bias r - s + 1 training writes.
-    A row the exact read rejects is re-read field by field to name the fault."""
-    lines = text.splitlines()
+    A row the exact read rejects is re-read field by field to name the fault.
+    Only LF or CR LF ends a line: a form feed or a bare CR stays inside its row."""
+    if "\r" in text:  # a one-character search, far cheaper than replace's own
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last line
     if not lines:
         raise ValueError("empty model text")
     header = lines[0].split()
     if len(header) != 6 or header[0] != MODEL_MAGIC:
-        raise ValueError(f"line 1: bad model header: {lines[0]!r}")
+        raise ValueError(f"line 1: bad model header: {_quote(lines[0])}")
     try:
         version, n, h, m, radius = (int(f) for f in header[1:])
     except ValueError:
         raise ValueError(
-            f"line 1: non-integer field in model header: {lines[0]!r}") from None
+            f"line 1: non-integer field in model header: {_quote(lines[0])}") from None
     if version != MODEL_VERSION:
         raise ValueError(f"line 1: unsupported model version {version}")
     if n < 2 or h < 1 or m < 1:
         raise ValueError(
-            f"line 1: model header needs n >= 2, h >= 1, m >= 1: {lines[0]!r}")
+            f"line 1: model header needs n >= 2, h >= 1, m >= 1: {_quote(lines[0])}")
     canonical = f"{MODEL_MAGIC} {version} {n} {h} {m} {radius}"
     if lines[0] != canonical:
-        raise ValueError(
-            f"line 1: model header {lines[0]!r} is not in canonical form {canonical!r}")
+        raise ValueError(f"line 1: model header {_quote(lines[0], canonical)}"
+                         f" is not in canonical form {_quote(canonical, lines[0])}")
     if len(lines) != 1 + h + m:
         raise ValueError(f"expected {1 + h + m} lines, found {len(lines)}")
 
@@ -226,16 +245,17 @@ def load_network(text: str) -> CC4Network:
             anchor = _reread(line, lineno, n, "hidden")
             bias, want = int(line.split()[-1]), radius - anchor.bit_count() + 1
             fault = f"bias {bias} != r - s + 1 = {want}" if bias != want else (
-                f"not in canonical form: {line!r}")
+                "not in canonical form: "
+                + _quote(line, f"{_sign_row(anchor, n - 1)} {want}"))
             late = late or f"hidden row {lineno - 1} (line {lineno}): {fault}"
         anchors.append(anchor)
     columns = []
     for lineno, line in enumerate(lines[1 + h:], start=2 + h):
         column = _read_signs(line, h)
         if column is None:
-            _reread(line, lineno, h, "output")
-            raise ValueError(
-                f"line {lineno}: output row is not in canonical form: {line!r}")
+            column = _reread(line, lineno, h, "output")
+            raise ValueError(f"line {lineno}: output row is not in canonical form: "
+                             + _quote(line, _sign_row(column, h)))
         columns.append(format(column, f"0{h}b"))
     labels = tuple(int("".join(bits), 2) for bits in zip(*columns))
     net = CC4Network(radius, n - 1, m, tuple(anchors), labels)

@@ -11,7 +11,8 @@ property family using its own fixed seed offset so cells are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import accumulate, compress
+from operator import and_, or_
 
 from . import bitvec, cc4, codes
 from .bitvec import BitWord
@@ -146,7 +147,12 @@ def _all_words(width: int) -> list[BitWord]:
 
 
 def check_metric_axioms(length: int) -> PropertyResult:
-    """Symmetry, identity, and triangle inequality over the whole hypercube."""
+    """Symmetry, identity, and triangle inequality over the whole hypercube.
+
+    The triangle pass runs on bitsets over c: c breaks d(a, c) <= d(a, b) + d(b, c)
+    iff it is in shells[a][k] (d(a, c) = k) and in within[b][k - d(a, b) - 1]
+    (d(b, c) <= that), and the lowest such c is the one a loop over c meets first.
+    """
     words = _all_words(length)
     count = len(words)
     dist = [[bitvec.hamming_distance(a, b) for b in words] for a in words]
@@ -160,17 +166,23 @@ def check_metric_axioms(length: int) -> PropertyResult:
                 return PropertyResult(
                     "metric-identity", {"len": length}, False,
                     counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
-    for i in range(count):
-        di = dist[i]
-        for j in range(count):
-            dij = di[j]
-            dj = dist[j]
-            for c in range(count):
-                if di[c] > dij + dj[c]:
-                    return PropertyResult(
-                        "metric-triangle", {"len": length}, False,
-                        counterexample=(
-                            f"a={words[i]},b={words[j]},c={words[c]}"))
+    # k - lo indexes the measured distances lo..hi; lo <= 0 <= hi, as d(a, a) = 0
+    lo, hi = min(map(min, dist)), max(map(max, dist))
+    shells = [[0] * (hi - lo + 1) for _ in words]
+    for shell, row in zip(shells, dist):
+        for c, d in enumerate(row):
+            shell[d - lo] |= 1 << c
+    # every c is within reach past hi, where k - d(a, b) - 1 goes when d(a, b) < 0
+    within = [list(accumulate(shell, or_)) + [(1 << count) - 1] * -lo for shell in shells]
+    for i, (shell, di) in enumerate(zip(shells, dist)):
+        for j, dij in enumerate(di):
+            start = max(dij + 1, 0)  # the first k - lo with a within[j] entry
+            # the shells are disjoint, so the sum of the hits is their union
+            hits = sum(map(and_, shell[start:], within[j][start - dij - 1:]))
+            if hits:
+                c = words[(hits & -hits).bit_length() - 1]
+                return PropertyResult("metric-triangle", {"len": length}, False,
+                                      counterexample=f"a={words[i]},b={words[j]},c={c}")
     return PropertyResult("metric-axioms", {"len": length}, True)
 
 
@@ -318,34 +330,31 @@ def _weighted_rows(
     ]
 
 
-def _weighted_sums(rows: list[tuple[tuple[int, ...], int]],
-                   x_bits: tuple[int, ...]) -> list[int]:
-    """Bias plus the weights at the input's 1 bits, one sum per row."""
-    return [bias + sum(compress(weights, x_bits)) for weights, bias in rows]
-
-
 def check_radius_law(
     width: int, radius: int, sets: int, max_samples: int,
     output_bits: int, rng: Lcg64,
 ) -> PropertyResult:
     """Hidden neuron i fires on x iff its weighted sum on x is positive."""
     params = {"width": width, "r": radius, "sets": sets}
-    inputs = [(x, x.bits) for x in _all_words(width)]
+    inputs = _all_words(width)
     for t in range(sets):
         samples = rng.next_training_set(max_samples, width, output_bits)
         net = cc4.train(samples, radius)
-        rows = _weighted_rows(samples, radius)
-        for x, x_bits in inputs:
-            fired = str(cc4.hidden_activations(net, x))
-            sums = _weighted_sums(rows, x_bits)
-            want = "".join("1" if s > 0 else "0" for s in sums)
-            if fired == want:
-                continue
-            i = next(i for i, (f, w) in enumerate(zip(fired, want)) if f != w)
-            return PropertyResult(
-                "radius-law", params, False,
-                counterexample=(
-                    f"set={t},neuron={i},x={x},fired={fired[i]},sum={sums[i]}"))
+        table = []  # table[i][x.value]: neuron i's sum on every x, a weight at a time
+        for weights, bias in _weighted_rows(samples, radius):
+            table.append([bias])
+            for weight in reversed(weights):  # the lowest bit first
+                table[-1] += [s + weight for s in table[-1]]
+        want = [1] * len(inputs)  # each x's fire flags, behind a 1 that fixes the width
+        for sums in table:
+            want = [w << 1 | (s > 0) for w, s in zip(want, sums)]
+        got = [(f := cc4.hidden_activations(net, x)).value | 1 << f.width for x in inputs]
+        if got != want:
+            x = next(x for x, g, w in zip(inputs, got, want) if g != w)
+            fired, wanted = bin(got[x.value])[3:], bin(want[x.value])[3:]
+            i = next(i for i, (f, w) in enumerate(zip(fired, wanted)) if f != w)
+            return PropertyResult("radius-law", params, False, counterexample=(
+                f"set={t},neuron={i},x={x},fired={fired[i]},sum={table[i][x.value]}"))
     return PropertyResult("radius-law", params, True)
 
 
@@ -366,7 +375,8 @@ def check_training_reproduction(
         net = cc4.train(samples, radius)
         rows = _weighted_rows(samples, radius)
         for i, sample in enumerate(samples):
-            sums = _weighted_sums(rows, sample.input.bits)
+            # bias plus the weights at the input's 1 bits, one sum per row
+            sums = [bias + sum(compress(weights, sample.input.bits)) for weights, bias in rows]
             fired = [s for s, total in zip(samples, sums) if total > 0]
             expected_bits = []
             for o in range(output_bits):

@@ -152,8 +152,8 @@ def _cmd_train(args) -> int:
 
 
 def _load_model(path: str) -> cc4.CC4Network:
-    # a non-ASCII byte goes on to load_network, whose error names its line
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+    # a non-ASCII byte or a bare \r goes on to load_network, whose error names its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         return cc4.load_network(fh.read())
 
 

@@ -283,12 +283,43 @@ class TestSerialization:
             ("CC4 1 5 1 1 1\n -1 -1 -1 -1 2\n1\n", r"row 1 \(line 2\): not in canonical"),
             ("CC4 1 5 1 2 1\n-1 -1 -1 -1 2\n1\n1 \n", "line 4: output row is not in canon"),
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n-1 1\n", "line 3: output row has 2 fields"),
+            # only \n (or \r\n) ends a line: other breaks are inside the row
+            *((f"CC4 1 5 1 1 1\n-1 -1{brk}-1 -1 2\n1\n", r"row 1 \(line 2\): not in canon")
+              for brk in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r")),
+            ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n1\u2028\n", "line 3: output row is not in"),
+            ("CC4 1 5 1 1 1\r-1 -1 -1 -1 2\n1\n", "line 1: bad model header"),
+            ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n1\n\n", "expected 3 lines, found 4"),
         ],
     )
     def test_load_rejects_malformed_text(self, text, message):
         with pytest.raises(ValueError, match=message):
             load_network(text)
 
+    def test_crlf_line_ends_load(self):
+        net = train(Lcg64(3).next_training_set(8, 6, 3), 2)
+        text = save_network(net)
+        assert load_network(text.replace("\n", "\r\n")) == net
+        assert load_network(text.removesuffix("\n")) == net
+
+    @pytest.mark.parametrize("h, width", [(5000, 3), (1, 5000)])
+    def test_long_row_errors_quote_a_window(self, h, width):
+        # one fault far into a 5 000-field row, output row (h) or hidden row (width)
+        net = CC4Network(1, width, 1, tuple(i % (1 << width) for i in range(h)),
+                         tuple(i % 2 for i in range(h)))
+        lines = save_network(net).split("\n")
+        row = 1 + h if h > 1 else 1
+        gap = lines[row].index(" ", 6000)  # a field starts at gap + 1, column gap + 2
+        for at, fault, message in [
+            (gap + 1, " ", f"not in canonical form: '.*  .*' at column {gap + 2} of "),
+            (gap + 1, "x", f"non-integer weight in .* row: '.* x.*' at column {gap + 2} of "),
+            (gap, "7", "weight '-?17' is not 1 or -1"),
+        ]:
+            broken = lines.copy()
+            broken[row] = lines[row][:at] + fault + lines[row][at:]
+            with pytest.raises(ValueError, match=message) as info:
+                load_network("\n".join(broken))
+            assert f"line {row + 1}" in str(info.value)
+            assert len(str(info.value)) < 160
     def test_header_width_bounds_no_allocation(self):
         # a forged n must not size the re-render of a short row
         tracemalloc.start()

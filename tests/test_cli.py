@@ -153,12 +153,22 @@ class TestTrainPredictEval:
         assert out == ""
         assert "hidden row 1 (line 2): bias 7" in err
 
+    def test_predict_reads_crlf_model(self, capsys, tmp_path):
+        model = tmp_path / "m.cc4"
+        run(capsys, "train", "--data", ANGLES, "--radius", "0",
+            "--bins", "4", "--length", "4", "--out", str(model))
+        want = run(capsys, "predict", "--model", str(model), "--input", "0001")
+        model.write_bytes(model.read_bytes().replace(b"\n", b"\r\n"))
+        got = run(capsys, "predict", "--model", str(model), "--input", "0001")
+        assert got == want == (0, "0100\n", "")
+
     @pytest.mark.parametrize("lineno, old, new", [
         (1, "CC4 1", "CC4 01"), (1, " 0\n", " +0\n"), (1, " 0\n", " 0_0\n"),
         (1, " 0\n", " \u0660\n"), (1, "CC4 ", "CC4\t"),
         (2, " 1\n", " +1\n"), (2, " 1\n", " 01\n"), (2, " 1\n", " 0_1\n"),
         (2, " 1\n", " \u0661\n"),
         (4, " ", "  "), (4, " ", "\t"), (4, "\n", " \n"),
+        (2, " ", "\r"), (2, " ", "\x0c"), (4, "\n", "\r\r\n"),
     ])
     def test_predict_rejects_respelt_model(self, capsys, tmp_path, lineno, old, new):
         model = tmp_path / "m.cc4"

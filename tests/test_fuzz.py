@@ -25,7 +25,7 @@ def _only_value_error(parse, text: str) -> None:
 
 
 @settings(max_examples=300)
-@given(_text("C4 01-+x\n\t_2", prefix="CC4 1 "))
+@given(_text("C4 01-+x\n\t_2\r\x0b\x0c\x85\u2028", prefix="CC4 1 "))
 def test_load_network(text):
     _only_value_error(load_network, text)
 
