@@ -104,8 +104,9 @@ class TestHiddenLayer:
 
     def test_query_width_checked(self):
         net = train([sample("1010", "1")], 1)
-        with pytest.raises(ValueError, match="query length"):
-            hidden_activations(net, bw("101"))
+        for call in (hidden_activations, infer):
+            with pytest.raises(ValueError, match="query length 3 != pattern width 4"):
+                call(net, bw("101"))
 
 
 class TestInference:
@@ -125,6 +126,27 @@ class TestInference:
         query = bw("0011")
         assert hidden_activations(net, query) == bw("11")
         assert infer(net, query) == bw("0")
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_infer_matches_majority_reference(self, data):
+        width = data.draw(st.integers(1, 300))
+        h, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 9))
+        radius = data.draw(st.integers(0, width))
+        anchors = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=h, max_size=h))
+        labels = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=h, max_size=h))
+        net = CC4Network(radius, width, m, tuple(anchors), tuple(labels))
+        # a query a few flips from an anchor, so that some balls hold it
+        flips = data.draw(st.lists(st.integers(0, width - 1), max_size=radius + 2))
+        query = BitWord(data.draw(st.sampled_from(anchors)) ^ sum(1 << p for p in set(flips)),
+                        width)
+
+        fired = [label for anchor, label in zip(anchors, labels)
+                 if hamming_distance(query, BitWord(anchor, width)) <= radius]
+        columns = zip(*(format(label, f"0{m}b") for label in fired)) if fired else [""] * m
+        want = "".join("1" if 2 * column.count("1") > len(fired) else "0"
+                       for column in map("".join, columns))
+        assert str(infer(net, query)) == want
 
     def test_contradictory_duplicate_inputs_tie_to_zero(self):
         net = train([sample("1010", "1"), sample("1010", "0")], radius=1)

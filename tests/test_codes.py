@@ -68,21 +68,49 @@ class TestBasic:
 
     @pytest.mark.parametrize("width", range(1, 11))
     def test_decode_matches_string_reference(self, width):
-        for value in range(1 << width):
-            text = format(value, f"0{width}b")
+        """Every word of the width through every decoder: the same value, or
+        the same DecodeError message and position, as a scan of its text."""
+
+        def generalized(text, k):
             ones = len(text) - len(text.lstrip("1"))
             late_one = text.find("1", ones)
             if ones == width:
-                want = ("no terminating 0", width)
-            elif late_one != -1:
-                want = ("1 after terminating 0", late_one)
-            else:
-                assert decode_basic(bw(text)) == ones
-                continue
-            with pytest.raises(DecodeError) as exc:
-                decode_basic(bw(text))
-            assert str(exc.value) == f"{want[0]} at position {want[1]}"
-            assert exc.value.position == want[1]
+                return "no terminating 0", width
+            if late_one != -1:
+                return "1 after terminating 0", late_one
+            if ones % k:
+                return f"run of {ones} ones is not a multiple of k={k}", ones
+            return ones // k
+
+        def fixed(text):
+            late_zero = text.find("0", text.find("1")) if "1" in text else -1
+            if late_zero != -1:
+                return "0 after first 1 in thermometer word", late_zero
+            return text.count("1")
+
+        def one_hot(text):
+            first = text.find("1")
+            if first == -1:
+                return "no 1 in one-hot word", width
+            if text.find("1", first + 1) != -1:
+                return "more than one 1 in one-hot word", text.find("1", first + 1)
+            return first + 1
+
+        decoders = [(decode_basic, lambda text: generalized(text, 1)),
+                    (decode_fixed, fixed), (decode_one_hot, one_hot)]
+        decoders += [(lambda w, k=k: decode_generalized(w, k),
+                      lambda text, k=k: generalized(text, k)) for k in (2, 3, 4)]
+        for value in range(1 << width):
+            text = format(value, f"0{width}b")
+            for decode, reference in decoders:
+                want = reference(text)
+                if isinstance(want, int):
+                    assert decode(bw(text)) == want
+                    continue
+                with pytest.raises(DecodeError) as exc:
+                    decode(bw(text))
+                assert str(exc.value) == f"{want[0]} at position {want[1]}"
+                assert exc.value.position == want[1]
 
 
 class TestFixed:
