@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import combinations
 
-from .bitvec import BitWord, hamming_distance, hamming_weight
+from .bitvec import BitWord, hamming_distance
 
 
 class DecodeError(ValueError):
@@ -52,13 +52,10 @@ def encode_fixed(n: int, length: int) -> BitWord:
 
 def decode_fixed(w: BitWord) -> int:
     """Weight of a thermometer word; rejects words where a 1 precedes a 0."""
-    seen_one = False
-    for i, b in enumerate(w):
-        if b == 1:
-            seen_one = True
-        elif seen_one:
-            raise DecodeError("0 after first 1 in thermometer word", i)
-    return hamming_weight(w)
+    ones = w.value.bit_length()  # a thermometer's weight is its bit length
+    if zeros := ((1 << ones) - 1) ^ w.value:  # the 0s right of the first 1
+        raise DecodeError("0 after first 1 in thermometer word", w.width - zeros.bit_length())
+    return ones
 
 
 def encode_one_hot(v: int, length: int) -> BitWord:
@@ -72,12 +69,11 @@ def encode_one_hot(v: int, length: int) -> BitWord:
 
 def decode_one_hot(w: BitWord) -> int:
     """Position (1-based) of the single 1."""
-    ones = [i for i, b in enumerate(w) if b == 1]
-    if len(ones) == 0:
-        raise DecodeError("no 1 in one-hot word", len(w))
-    if len(ones) > 1:
-        raise DecodeError("more than one 1 in one-hot word", ones[1])
-    return ones[0] + 1
+    if not w.value:
+        raise DecodeError("no 1 in one-hot word", w.width)
+    if rest := w.value ^ 1 << w.value.bit_length() - 1:  # every 1 after the first
+        raise DecodeError("more than one 1 in one-hot word", w.width - rest.bit_length())
+    return w.width - w.value.bit_length() + 1
 
 
 def one_hot_to_thermometer(w: BitWord) -> BitWord:
@@ -109,17 +105,12 @@ def decode_generalized(w: BitWord, k: int) -> int:
     """Count of leading ones divided by k; validates shape and multiplicity."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ones = 0
-    seen_zero = False
-    for i, b in enumerate(w):
-        if b == 1:
-            if seen_zero:
-                raise DecodeError("1 after terminating 0", i)
-            ones += 1
-        else:
-            seen_zero = True
-    if not seen_zero:
-        raise DecodeError("no terminating 0", len(w))
+    # the first 0 and the bits right of it: the complement's bit length
+    if not (tail := (w.value ^ ((1 << w.width) - 1)).bit_length()):
+        raise DecodeError("no terminating 0", w.width)
+    if late := w.value & ((1 << tail) - 1):  # any 1 after the first 0
+        raise DecodeError("1 after terminating 0", w.width - late.bit_length())
+    ones = w.width - tail
     if ones % k != 0:
         raise DecodeError(f"run of {ones} ones is not a multiple of k={k}", ones)
     return ones // k
