@@ -124,8 +124,7 @@ def gray_encode(n: int, width: int) -> BitWord:
 
 def gray_decode(w: BitWord) -> int:
     """Inverse of gray_encode at any width."""
-    g = w.value
-    n = g
+    n = g = w.value
     g >>= 1
     while g:
         n ^= g

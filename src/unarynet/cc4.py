@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 
 from .bitvec import BitWord
 
@@ -88,8 +88,7 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    anchors = []
-    labels = []
+    anchors, labels = [], []
     in_width = out_width = None
     for idx, sample in enumerate(samples):
         x, y = sample.input, sample.output
@@ -106,13 +105,16 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
+def _query(net: CC4Network, x: BitWord) -> int:
+    """x's value, once its width is checked against the network's."""
+    if x.width != net.pattern_width:
+        raise ValueError(f"query length {x.width} != pattern width {net.pattern_width}")
+    return x.value
+
+
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
     """Bit i is 1 iff d(x, anchor i) <= r."""
-    if x.width != net.pattern_width:
-        raise ValueError(
-            f"query length {x.width} != pattern width {net.pattern_width}"
-        )
-    query, radius = x.value, net.radius
+    query, radius = _query(net, x), net.radius
     fired = bytes((query ^ anchor).bit_count() <= radius for anchor in net.anchors)
     return BitWord(int(fired.translate(_ASCII_BITS), 2), len(fired))
 
@@ -120,7 +122,9 @@ def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
 def infer(net: CC4Network, x: BitWord) -> BitWord:
     """Majority of the fired labels per output bit; all-zero means no region
     claimed the query or its votes tied."""
-    fired = list(compress(net.labels, hidden_activations(net, x).bits))
+    query, radius = _query(net, x), net.radius
+    fired = [label for anchor, label in zip(net.anchors, net.labels)
+             if (query ^ anchor).bit_count() <= radius]
     value = 0
     for shift in range(net.output_count - 1, -1, -1):
         votes = sum(label >> shift & 1 for label in fired)
@@ -182,6 +186,14 @@ def _quote(line: str, right: str = "") -> str:
     return f"{window!r} at column {at + 1} of {len(line)}"
 
 
+def _decimal(field: str) -> str:
+    """str(int(field)), also for a plain decimal past int()'s 4 300 digits."""
+    digits = field.removeprefix("-").lstrip("0")
+    if digits.isascii() and digits.isdigit():
+        return ("-" if field.startswith("-") else "") + digits
+    return str(int(field))
+
+
 def _reread(line: str, lineno: int, width: int, what: str) -> int:
     """Read a row the exact read rejected field by field, raising on the first
     bad field; else its +1/-1 signs as an int (a hidden row ends in its bias)."""
@@ -192,7 +204,7 @@ def _reread(line: str, lineno: int, width: int, what: str) -> int:
     signs, bias = (fields[:-1], fields[-1]) if what == "hidden" else (fields, "0")
     bad = next((f for f in signs if f not in _SIGNS), None)
     try:
-        int(bias if bad is None else bad)
+        _decimal(bias if bad is None else bad)
     except ValueError:
         fault = [f.start() for f in re.finditer(r"\S+", line)][
             -1 if bad is None else signs.index(bad)]  # all before it is right
@@ -243,8 +255,9 @@ def load_network(text: str) -> CC4Network:
         anchor = _read_signs(signs, n - 1)
         if anchor is None or bias != str(radius - anchor.bit_count() + 1):
             anchor = _reread(line, lineno, n, "hidden")
-            bias, want = int(line.split()[-1]), radius - anchor.bit_count() + 1
-            fault = f"bias {bias} != r - s + 1 = {want}" if bias != want else (
+            bias, want = _decimal(line.split()[-1]), str(radius - anchor.bit_count() + 1)
+            shown = _quote(bias, want) if len(bias) > 120 else bias
+            fault = f"bias {shown} != r - s + 1 = {want}" if bias != want else (
                 "not in canonical form: "
                 + _quote(line, f"{_sign_row(anchor, n - 1)} {want}"))
             late = late or f"hidden row {lineno - 1} (line {lineno}): {fault}"

@@ -168,12 +168,10 @@ def evaluate(net: CC4Network, samples: list[TrainingSample]) -> EvalReport:
         got = infer(net, sample.input)
         key = str(sample.output)
         matches, total = report.per_class.get(key, (0, 0))
-        hit = got == sample.output
-        report.per_class[key] = (matches + (1 if hit else 0), total + 1)
-        if hit:
-            report.exact_matches += 1
-        if got.value == 0:
-            report.no_decision += 1
+        hit = int(got == sample.output)
+        report.per_class[key] = (matches + hit, total + 1)
+        report.exact_matches += hit
+        report.no_decision += int(got.value == 0)
     return report
 
 
@@ -225,8 +223,6 @@ def sweep_radius(
 def sweep_table(rows: list[SweepRow]) -> str:
     lines = ["r\taccuracy\texact\tno_decision\tball_volume"]
     for row in rows:
-        lines.append(
-            f"{row.radius}\t{row.accuracy:.4f}\t{row.exact_matches}/{row.total}"
-            f"\t{row.no_decision}\t{row.ball_volume}"
-        )
+        lines.append(f"{row.radius}\t{row.accuracy:.4f}\t{row.exact_matches}/{row.total}"
+                     f"\t{row.no_decision}\t{row.ball_volume}")
     return "\n".join(lines) + "\n"

@@ -311,11 +311,22 @@ class TestSerialization:
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n1\u2028\n", "line 3: output row is not in"),
             ("CC4 1 5 1 1 1\r-1 -1 -1 -1 2\n1\n", "line 1: bad model header"),
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n1\n\n", "expected 3 lines, found 4"),
+            # a bias too long to print whole, or for int() to read
+            pytest.param("CC4 1 5 1 1 1\n-1 -1 -1 -1 " + "9" * 4000 + "\n1\n",
+                         r"row 1 \(line 2\): bias '9+' at column 1 of 4000 != r - s \+ 1 = 2",
+                         id="bias-of-4000-digits"),
+            pytest.param("CC4 1 5 1 1 1\n-1 -1 -1 -1 " + "9" * 5000 + "\n1\n",
+                         r"row 1 \(line 2\): bias '9+' at column 1 of 5000 != r - s \+ 1 = 2",
+                         id="bias-of-5000-digits"),
+            pytest.param("CC4 1 5 1 1 1\n-1 -1 -1 -1 " + "0" * 5000 + "2\n1\n",
+                         r"row 1 \(line 2\): not in canonical form: '.*-1 0+' at column 13",
+                         id="bias-2-after-5000-zeros"),
         ],
     )
     def test_load_rejects_malformed_text(self, text, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             load_network(text)
+        assert len(str(info.value)) < 160
 
     def test_crlf_line_ends_load(self):
         net = train(Lcg64(3).next_training_set(8, 6, 3), 2)
