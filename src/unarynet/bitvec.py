@@ -124,7 +124,8 @@ def gray_encode(n: int, width: int) -> BitWord:
 
 def gray_decode(w: BitWord) -> int:
     """Inverse of gray_encode at any width."""
-    n = g = w.value
+    g = w.value
+    n = g
     g >>= 1
     while g:
         n ^= g

@@ -188,10 +188,9 @@ def _quote(line: str, right: str = "") -> str:
 
 def _decimal(field: str) -> str:
     """str(int(field)), also for a plain decimal past int()'s 4 300 digits."""
+    sign = "-" if field.startswith("-") else ""
     digits = field.removeprefix("-").lstrip("0")
-    if digits.isascii() and digits.isdigit():
-        return ("-" if field.startswith("-") else "") + digits
-    return str(int(field))
+    return sign + digits if digits.isascii() and digits.isdigit() else str(int(field))
 
 
 def _reread(line: str, lineno: int, width: int, what: str) -> int:

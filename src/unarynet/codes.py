@@ -52,10 +52,9 @@ def encode_fixed(n: int, length: int) -> BitWord:
 
 def decode_fixed(w: BitWord) -> int:
     """Weight of a thermometer word; rejects words where a 1 precedes a 0."""
-    ones = w.value.bit_length()  # a thermometer's weight is its bit length
-    if zeros := ((1 << ones) - 1) ^ w.value:  # the 0s right of the first 1
+    if zeros := ((1 << w.value.bit_length()) - 1) ^ w.value:  # the 0s right of the first 1
         raise DecodeError("0 after first 1 in thermometer word", w.width - zeros.bit_length())
-    return ones
+    return w.value.bit_length()  # a thermometer's weight is its bit length
 
 
 def encode_one_hot(v: int, length: int) -> BitWord:
@@ -105,12 +104,11 @@ def decode_generalized(w: BitWord, k: int) -> int:
     """Count of leading ones divided by k; validates shape and multiplicity."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    # the first 0 and the bits right of it: the complement's bit length
-    if not (tail := (w.value ^ ((1 << w.width) - 1)).bit_length()):
+    ones = w.width - (w.value ^ ((1 << w.width) - 1)).bit_length()  # the leading 1s
+    if ones == w.width:
         raise DecodeError("no terminating 0", w.width)
-    if late := w.value & ((1 << tail) - 1):  # any 1 after the first 0
+    if late := w.value & ((1 << w.width - ones) - 1):  # any 1 after the first 0
         raise DecodeError("1 after terminating 0", w.width - late.bit_length())
-    ones = w.width - tail
     if ones % k != 0:
         raise DecodeError(f"run of {ones} ones is not a multiple of k={k}", ones)
     return ones // k

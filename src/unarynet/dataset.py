@@ -223,6 +223,8 @@ def sweep_radius(
 def sweep_table(rows: list[SweepRow]) -> str:
     lines = ["r\taccuracy\texact\tno_decision\tball_volume"]
     for row in rows:
-        lines.append(f"{row.radius}\t{row.accuracy:.4f}\t{row.exact_matches}/{row.total}"
-                     f"\t{row.no_decision}\t{row.ball_volume}")
+        lines.append(
+            f"{row.radius}\t{row.accuracy:.4f}\t{row.exact_matches}/{row.total}"
+            f"\t{row.no_decision}\t{row.ball_volume}"
+        )
     return "\n".join(lines) + "\n"
