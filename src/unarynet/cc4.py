@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 
 from .bitvec import BitWord
 
@@ -28,8 +29,8 @@ MODEL_VERSION = 1
 
 _SIGNS = {"1", "-1"}
 
-# fire flags 0/1 -> ASCII '0'/'1', so int(..., 2) can read them as one word
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+# ASCII '0'/'1' -> fire flags 0/1, so compress can pick the fired labels
+_FIRE_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 # _BYTE_SIGNS[v]: the eight weights of byte v, most significant bit first
 _BYTE_SIGNS = [" ".join("1" if v >> k & 1 else "-1" for k in range(7, -1, -1))
@@ -88,7 +89,8 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    anchors, labels = [], []
+    anchors = []
+    labels = []
     in_width = out_width = None
     for idx, sample in enumerate(samples):
         x, y = sample.input, sample.output
@@ -105,26 +107,31 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
-def _query(net: CC4Network, x: BitWord) -> int:
-    """x's value, once its width is checked against the network's."""
-    if x.width != net.pattern_width:
-        raise ValueError(f"query length {x.width} != pattern width {net.pattern_width}")
-    return x.value
+@lru_cache(maxsize=64)
+def _indices(count: int) -> tuple[int, ...]:
+    """0..count - 1, kept so that a call does not make count fresh ints."""
+    return tuple(range(count))
 
 
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
     """Bit i is 1 iff d(x, anchor i) <= r."""
-    query, radius = _query(net, x), net.radius
-    fired = bytes((query ^ anchor).bit_count() <= radius for anchor in net.anchors)
-    return BitWord(int(fired.translate(_ASCII_BITS), 2), len(fired))
+    if x.width != net.pattern_width:
+        raise ValueError(
+            f"query length {x.width} != pattern width {net.pattern_width}"
+        )
+    query, radius = x.value, net.radius
+    word = bytearray(b"0" * net.hidden_count)  # ASCII bits, neuron i at index i
+    for i in [i for anchor, i in zip(net.anchors, _indices(len(word)))
+              if (query ^ anchor).bit_count() <= radius]:
+        word[i] = 49  # "1"
+    return BitWord(int(word, 2), len(word))
 
 
 def infer(net: CC4Network, x: BitWord) -> BitWord:
     """Majority of the fired labels per output bit; all-zero means no region
     claimed the query or its votes tied."""
-    query, radius = _query(net, x), net.radius
-    fired = [label for anchor, label in zip(net.anchors, net.labels)
-             if (query ^ anchor).bit_count() <= radius]
+    flags = str(hidden_activations(net, x)).encode().translate(_FIRE_FLAGS)
+    fired = list(compress(net.labels, flags))
     value = 0
     for shift in range(net.output_count - 1, -1, -1):
         votes = sum(label >> shift & 1 for label in fired)
@@ -187,10 +194,12 @@ def _quote(line: str, right: str = "") -> str:
 
 
 def _decimal(field: str) -> str:
-    """str(int(field)), also for a plain decimal past int()'s 4 300 digits."""
-    sign = "-" if field.startswith("-") else ""
-    digits = field.removeprefix("-").lstrip("0")
-    return sign + digits if digits.isascii() and digits.isdigit() else str(int(field))
+    """str(int(field)), also for a signed decimal past int()'s 4 300 digits."""
+    body = field[1:] if field[0] in "+-" else field
+    if not (body.isascii() and body.isdigit()):
+        return str(int(field))
+    digits = body.lstrip("0") or "0"
+    return "-" + digits if field[0] == "-" and digits != "0" else digits
 
 
 def _reread(line: str, lineno: int, width: int, what: str) -> int:
@@ -254,8 +263,9 @@ def load_network(text: str) -> CC4Network:
         anchor = _read_signs(signs, n - 1)
         if anchor is None or bias != str(radius - anchor.bit_count() + 1):
             anchor = _reread(line, lineno, n, "hidden")
-            bias, want = _decimal(line.split()[-1]), str(radius - anchor.bit_count() + 1)
-            shown = _quote(bias, want) if len(bias) > 120 else bias
+            field, want = line.split()[-1], str(radius - anchor.bit_count() + 1)
+            bias = _decimal(field)
+            shown = _quote(field, want) if len(field) > 120 else bias
             fault = f"bias {shown} != r - s + 1 = {want}" if bias != want else (
                 "not in canonical form: "
                 + _quote(line, f"{_sign_row(anchor, n - 1)} {want}"))

@@ -168,10 +168,12 @@ def evaluate(net: CC4Network, samples: list[TrainingSample]) -> EvalReport:
         got = infer(net, sample.input)
         key = str(sample.output)
         matches, total = report.per_class.get(key, (0, 0))
-        hit = int(got == sample.output)
-        report.per_class[key] = (matches + hit, total + 1)
-        report.exact_matches += hit
-        report.no_decision += int(got.value == 0)
+        hit = got == sample.output
+        report.per_class[key] = (matches + (1 if hit else 0), total + 1)
+        if hit:
+            report.exact_matches += 1
+        if got.value == 0:
+            report.no_decision += 1
     return report
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from math import comb
 
@@ -141,8 +142,9 @@ class TestInference:
         query = BitWord(data.draw(st.sampled_from(anchors)) ^ sum(1 << p for p in set(flips)),
                         width)
 
-        fired = [label for anchor, label in zip(anchors, labels)
-                 if hamming_distance(query, BitWord(anchor, width)) <= radius]
+        fires = [hamming_distance(query, BitWord(anchor, width)) <= radius for anchor in anchors]
+        assert str(hidden_activations(net, query)) == "".join("01"[f] for f in fires)
+        fired = [label for label, f in zip(labels, fires) if f]
         columns = zip(*(format(label, f"0{m}b") for label in fired)) if fired else [""] * m
         want = "".join("1" if 2 * column.count("1") > len(fired) else "0"
                        for column in map("".join, columns))
@@ -298,6 +300,8 @@ class TestSerialization:
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 +2\n1\n", r"row 1 \(line 2\): not in canonical"),
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 02\n1\n", r"row 1 \(line 2\): not in canonical"),
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 0_2\n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 1 1\n1 1 -1 -1 00\n1\n", r"row 1 \(line 2\): not in canonical"),
+            ("CC4 1 5 1 1 1\n1 1 -1 -1 -0\n1\n", r"row 1 \(line 2\): not in canonical"),
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 \u0662\n1\n", r"row 1 \(line 2\): not in canon"),
             ("CC4 1 5 1 1 1\n-1  -1 -1 -1 2\n1\n", r"row 1 \(line 2\): not in canonical"),
             ("CC4 1 5 1 1 1\n-1\t-1 -1 -1 2\n1\n", r"row 1 \(line 2\): not in canonical"),
@@ -321,6 +325,10 @@ class TestSerialization:
             pytest.param("CC4 1 5 1 1 1\n-1 -1 -1 -1 " + "0" * 5000 + "2\n1\n",
                          r"row 1 \(line 2\): not in canonical form: '.*-1 0+' at column 13",
                          id="bias-2-after-5000-zeros"),
+            *(pytest.param("CC4 1 5 1 1 1\n-1 -1 -1 -1 " + bias + "\n1\n",
+                           rf"row 1 \(line 2\): bias '{re.escape(bias[:30])}' at column 1 of "
+                           rf"{len(bias)} != r - s \+ 1 = 2", id=f"bias-{bias[:2]}-x{len(bias)}")
+              for bias in ("0" * 5000, "-" + "0" * 5000, "+" + "9" * 5000, "-" + "9" * 5000)),
         ],
     )
     def test_load_rejects_malformed_text(self, text, message):
