@@ -2,10 +2,14 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unarynet.bitvec import BitWord
 from unarynet.cc4 import TrainingSample, train
+from unarynet.codes import encode_fixed, encode_one_hot
 from unarynet.dataset import (
+    QUANT_FAMILIES,
+    Dataset,
     QuantizationSpec,
     bin_index,
     evaluate,
@@ -71,6 +75,37 @@ class TestParsing:
     def test_blank_lines_skipped(self):
         ds = parse_dataset("a,label\n1,0\n\n2,1\n")
         assert len(ds.rows) == 2
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_rows_and_ranges_match_column_reference(self, data):
+        arity = data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, 12))
+        classes = data.draw(st.integers(1, count))
+        labels = data.draw(st.permutations([i % classes for i in range(count)]))
+        features = [tuple(data.draw(st.integers(-1000, 1000)) for _ in range(arity))
+                    for _ in range(count)]
+        lines = [",".join(map(str, f + (label,))) for f, label in zip(features, labels)]
+        header = ",".join(f"f{i}" for i in range(arity)) + ",label"
+        ds = parse_dataset("\n".join([header] + lines) + "\n", source="t.csv")
+        assert ds.rows == tuple(zip(features, labels))
+        columns = [[f[i] for f in features] for i in range(arity)]
+        assert ds.feature_ranges == tuple((min(c), max(c)) for c in columns)
+
+        # one bad line: a field that is not an integer, or a field too many or few
+        bad = data.draw(st.integers(0, count - 1))
+        fields = lines[bad].split(",")
+        if data.draw(st.booleans()):
+            fields[data.draw(st.integers(0, arity))] = data.draw(
+                st.sampled_from(["x", "1.5", "", "--1", "1e3", "0x10", "+"]))
+            message = f"t.csv: line {bad + 2}: non-integer field"
+        else:
+            fields = fields[:-1] if data.draw(st.booleans()) else fields + ["7"]
+            message = f"t.csv: line {bad + 2}: expected {arity + 1} fields, got {len(fields)}"
+        lines[bad] = ",".join(fields)
+        with pytest.raises(ValueError) as got:
+            parse_dataset("\n".join([header] + lines) + "\n", source="t.csv")
+        assert str(got.value) == message
 
 
 class TestBinning:
@@ -149,6 +184,75 @@ class TestQuantizeEncode:
             QuantizationSpec(5, 4)
         with pytest.raises(ValueError, match="family"):
             QuantizationSpec(4, 4, "thermo")
+
+
+class _Fault(Exception):
+    def __init__(self, where, message):
+        super().__init__(where, message)
+        self.where, self.message = where, message
+
+
+def _reference_encode(ds, q, clamp):
+    """quantize_encode one value at a time: bin_index, then the codec."""
+    classes = ds.num_classes
+    width = q.length * len(ds.feature_ranges)
+    samples = []
+    for index, (features, label) in enumerate(ds.rows):
+        row = 0
+        for name, value, (lo, hi) in zip(ds.feature_names, features, ds.feature_ranges):
+            try:
+                b = bin_index(value, lo, hi, q.bins, clamp=clamp)
+                segment = (encode_fixed(b, q.length) if q.family == "fixed"
+                           else encode_one_hot(b + 1, q.length))
+            except ValueError as e:
+                raise _Fault(f"row {index + 1}, feature {name!r}", str(e)) from None
+            row = row << q.length | segment.value
+        try:
+            output = encode_one_hot(label + 1, classes)
+        except ValueError as e:
+            raise _Fault(f"row {index + 1}, label", str(e)) from None
+        samples.append(TrainingSample(BitWord(row, width), output))
+    return samples
+
+
+@st.composite
+def _encode_cases(draw):
+    length = draw(st.integers(1, 40))
+    q = QuantizationSpec(draw(st.integers(1, length)), length, draw(st.sampled_from(QUANT_FAMILIES)))
+    ranges = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = draw(st.integers(-60, 60))
+        ranges.append((lo, lo + draw(st.one_of(st.just(0), st.integers(0, 80)))))
+    classes = draw(st.integers(1, 5))
+    rows = tuple(
+        (tuple(draw(st.integers(lo - 3, hi + 3)) for lo, hi in ranges),
+         draw(st.integers(0, classes - 1)))
+        for _ in range(draw(st.integers(1, 8))))
+    names = tuple(f"f{i}" for i in range(len(ranges)))
+    return Dataset(names, rows, tuple(ranges)), q, draw(st.booleans())
+
+
+class TestQuantizeEncodeReference:
+    @given(_encode_cases())
+    @settings(max_examples=200)
+    # a label below 0: the codec refuses it; it must not index from the end
+    @example((Dataset(("a",), (((1,), 0), ((2,), -1), ((3,), 1)), ((1, 3),)),
+              QuantizationSpec(3, 3), False))
+    # an inverted range, clamped: the bin lies past the code; the codec refuses it
+    @example((Dataset(("a",), (((5,), 0),), ((7, 3),)), QuantizationSpec(4, 4), True))
+    @example((Dataset(("a",), (((5,), 0),), ((7, 3),)), QuantizationSpec(4, 4, "one_hot"), True))
+    def test_matches_per_value_reference(self, case):
+        ds, q, clamp = case
+        try:
+            want = _reference_encode(ds, q, clamp)
+        except _Fault as fault:
+            with pytest.raises(ValueError) as got:
+                quantize_encode(ds, q, clamp=clamp)
+            assert type(got.value) is ValueError
+            # the message may name where the fault is, never anything else
+            assert str(got.value) in (fault.message, f"{fault.where}: {fault.message}")
+        else:
+            assert quantize_encode(ds, q, clamp=clamp) == want
 
 
 class TestEvaluate:
