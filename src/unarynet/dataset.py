@@ -55,9 +55,7 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
         raise ValueError(f"{source}: empty file")
     header = lines[0].split(",")
     if len(header) < 2 or header[-1] != "label":
-        raise ValueError(
-            f"{source}: line 1: header must name feature columns then 'label'"
-        )
+        raise ValueError(f"{source}: line 1: header must name feature columns then 'label'")
     names = tuple(h.strip() for h in header[:-1])
     arity = len(names)
     rows = []
@@ -66,17 +64,15 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
             continue
         fields = line.split(",")
         if len(fields) != arity + 1:
-            raise ValueError(
-                f"{source}: line {lineno}: expected {arity + 1} fields, got {len(fields)}"
-            )
+            raise ValueError(f"{source}: line {lineno}: "
+                             f"expected {arity + 1} fields, got {len(fields)}")
         try:
-            values = tuple(int(f) for f in fields)
+            *values, label = map(int, fields)
         except ValueError:
             raise ValueError(f"{source}: line {lineno}: non-integer field") from None
-        label = values[-1]
         if label < 0:
             raise ValueError(f"{source}: line {lineno}: negative label {label}")
-        rows.append((values[:-1], label))
+        rows.append((tuple(values), label))
     if not rows:
         raise ValueError(f"{source}: no rows")
     labels = {label for _, label in rows}
@@ -89,10 +85,7 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
             f"{source}: labels not dense in 0..{top}: "
             f"{top + 1 - len(labels)} missing, first missing {first}"
         )
-    ranges = tuple(
-        (min(r[0][i] for r in rows), max(r[0][i] for r in rows))
-        for i in range(arity)
-    )
+    ranges = tuple((min(column), max(column)) for column in zip(*(f for f, _ in rows)))
     return Dataset(names, tuple(rows), ranges)
 
 
@@ -104,7 +97,7 @@ def load_dataset(path: str) -> Dataset:
 def bin_index(value: int, lo: int, hi: int, bins: int, clamp: bool = False) -> int:
     """floor((value - lo) * bins / (hi - lo + 1)), always within 0..bins-1."""
     if value < lo or value > hi:
-        if not clamp:
+        if not clamp or lo > hi:  # nothing can be clamped into an empty range
             raise ValueError(f"value {value} outside declared range {lo}..{hi}")
         value = min(max(value, lo), hi)
     return (value - lo) * bins // (hi - lo + 1)
@@ -113,20 +106,27 @@ def bin_index(value: int, lo: int, hi: int, bins: int, clamp: bool = False) -> i
 def quantize_encode(
     ds: Dataset, q: QuantizationSpec, clamp: bool = False
 ) -> list[TrainingSample]:
-    """Bin and encode every row; labels become one-hot output words."""
-    classes = ds.num_classes
-    fixed = q.family == "fixed"
-    width = q.length * len(ds.feature_ranges)
-    samples = []
-    for features, label in ds.rows:
-        row = 0
-        for value, (lo, hi) in zip(features, ds.feature_ranges):
-            b = bin_index(value, lo, hi, q.bins, clamp=clamp)
-            segment = encode_fixed(b, q.length) if fixed else encode_one_hot(b + 1, q.length)
-            row = row << q.length | segment.value
-        samples.append(
-            TrainingSample(BitWord(row, width), encode_one_hot(label + 1, classes))
-        )
+    """Bin and encode every row from per-bin segments and per-class one-hot outputs."""
+    classes, length, bins, fixed = ds.num_classes, q.length, q.bins, q.family == "fixed"
+    segments = [(encode_fixed(b, length) if fixed else encode_one_hot(b + 1, length)).value
+                for b in range(bins)]
+    outputs = {label: encode_one_hot(label + 1, classes) for label in range(classes)}
+    width, samples = length * len(ds.feature_ranges), []
+    try:
+        for features, label in ds.rows:
+            row = 0
+            for value, (lo, hi) in zip(features, ds.feature_ranges):
+                row = row << length | segments[bin_index(value, lo, hi, bins, clamp)]
+            samples.append(TrainingSample(BitWord(row, width), outputs[label]))
+    except (ValueError, KeyError):  # find the fault only once a row has failed
+        features, label = ds.rows[len(samples)]
+        for name, value, (lo, hi) in zip(ds.feature_names, features, ds.feature_ranges):
+            try:
+                bin_index(value, lo, hi, bins, clamp)
+            except ValueError as e:
+                raise ValueError(f"row {len(samples) + 1}, feature {name!r}: {e}") from None
+        encode_one_hot(label + 1, classes)  # the codec's error for a label below 0
+        raise
     return samples
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -134,6 +135,18 @@ class TestBinning:
         assert bin_index(13, 0, 12, 4, clamp=True) == 3
         assert bin_index(-2, 0, 12, 4, clamp=True) == 0
 
+    def test_out_of_range_message_names_value_and_range(self):
+        with pytest.raises(ValueError) as got:
+            bin_index(1200, 0, 999, 4)
+        assert str(got.value) == "value 1200 outside declared range 0..999"
+
+    @pytest.mark.parametrize("value, lo, hi", [(5, 7, 3), (3, 4, 3), (4, 4, 3), (-9, 0, -1)])
+    def test_empty_range_holds_no_value_even_clamped(self, value, lo, hi):
+        for clamp in (False, True):
+            with pytest.raises(ValueError) as got:
+                bin_index(value, lo, hi, 4, clamp=clamp)
+            assert str(got.value) == f"value {value} outside declared range {lo}..{hi}"
+
 
 class TestQuantizeEncode:
     def test_fixed_family_segments(self):
@@ -176,6 +189,22 @@ class TestQuantizeEncode:
         ds = parse_dataset("a,label\n" + "".join(f"{v},0\n" for v in range(8)))
         samples = quantize_encode(ds, QuantizationSpec(8, 8))
         assert len({s.input for s in samples}) == 8
+
+    def test_out_of_range_names_row_and_feature(self):
+        # queries encoded over the training ranges, as a held-out set is
+        ranges = parse_dataset("a,b,label\n0,0,0\n9,999,1\n").feature_ranges
+        queries = parse_dataset("a,b,label\n3,1,0\n4,1200,1\n10,-1,0\n")
+        ds = dataclasses.replace(queries, feature_ranges=ranges)
+        with pytest.raises(ValueError) as got:
+            quantize_encode(ds, QuantizationSpec(4, 4))
+        assert str(got.value) == "row 2, feature 'b': value 1200 outside declared range 0..999"
+        clamped = quantize_encode(ds, QuantizationSpec(4, 4), clamp=True)
+        assert [str(s.input) for s in clamped] == ["00010000", "00010111", "01110000"]
+
+    def test_negative_label_is_refused_not_indexed(self):
+        ds = Dataset(("a",), (((1,), 1), ((2,), -1)), ((1, 2),))
+        with pytest.raises(ValueError, match=r"^value 0 outside 1\.\.2$"):
+            quantize_encode(ds, QuantizationSpec(2, 2))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="bins"):
