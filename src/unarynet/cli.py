@@ -1,15 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or input error, 2 property-check failure.
+Each handler imports the modules it runs, so a process compiles no others.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from . import cc4, checks, codes, dataset, tables
-from .bitvec import BitWord
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,6 +89,7 @@ def _family_key(family: str) -> str:
 
 
 def _cmd_encode(args) -> int:
+    from . import codes
     family = _family_key(args.family)
     if family in ("fixed", "one_hot") and args.length is None:
         raise ValueError(f"--length is required for the {args.family} family")
@@ -118,6 +117,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from . import codes
+    from .bitvec import BitWord
     family = _family_key(args.family)
     word = BitWord.from_string(args.word)
     if family == "basic":
@@ -135,11 +136,13 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import tables
     sys.stdout.write(tables.emit_table(int(args.which)))
     return 0
 
 
 def _cmd_train(args) -> int:
+    from . import cc4, dataset
     ds = dataset.load_dataset(args.data)
     q = dataset.QuantizationSpec(args.bins, args.length, _family_key(args.family))
     samples = dataset.quantize_encode(ds, q)
@@ -151,19 +154,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path: str) -> cc4.CC4Network:
+def _load_model(path: str):
+    from . import cc4
     # a non-ASCII byte or a bare \r goes on to load_network, whose error names its line
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         return cc4.load_network(fh.read())
 
 
 def _cmd_predict(args) -> int:
+    from . import cc4
+    from .bitvec import BitWord
     net = _load_model(args.model)
     print(cc4.infer(net, BitWord.from_string(args.input)))
     return 0
 
 
 def _cmd_eval(args) -> int:
+    from . import dataset
     net = _load_model(args.model)
     ds = dataset.load_dataset(args.data)
     length = args.length
@@ -183,6 +190,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import dataset
     if args.r_min < 0 or args.r_max < args.r_min:
         raise ValueError(f"bad radius range {args.r_min}..{args.r_max}")
     ds = dataset.load_dataset(args.data)
@@ -208,6 +216,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
     grid = checks.parse_grid(args.grid)
     report = checks.run_property_checks(grid)
     if args.machine:

@@ -1,0 +1,71 @@
+"""The package's public names, and which modules each CLI subcommand loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import unarynet
+
+ROOT = Path(__file__).resolve().parent.parent
+ANGLES = str(ROOT / "data" / "angles.csv")
+GOLDEN_MODEL = str(ROOT / "tests" / "data" / "angles_r1.cc4.golden")
+
+# Runs one subcommand through cli.main, then prints its exit code and the
+# package modules the process has loaded.
+PROBE = """
+import contextlib, io, sys
+from unarynet import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "unarynet"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["table", "--which", "1"], {"tables", "bitvec", "codes"}),
+        (["predict", "--model", GOLDEN_MODEL, "--input", "0000"], {"cc4", "bitvec"}),
+        (["train", "--data", ANGLES, "--radius", "0", "--bins", "4", "--length", "4",
+          "--out", "{tmp}"], {"dataset", "cc4", "codes", "bitvec"}),
+        (["check", "--grid", "quick", "--machine"],
+         {"checks", "cc4", "codes", "rng", "bitvec"}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
+    argv = [a.format(tmp=tmp_path / "m.cc4") for a in argv]
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert set(modules) == {"unarynet", "unarynet.cli"} | {
+        f"unarynet.{m}" for m in loaded}
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    assert len(unarynet.__all__) == len(set(unarynet.__all__)) == 32
+    for name in unarynet.__all__:
+        home = importlib.import_module(f"unarynet.{unarynet._HOME[name]}")
+        assert getattr(unarynet, name) is getattr(home, name)
+        assert getattr(home, name).__module__ == home.__name__
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from unarynet import *", namespace)
+    assert set(unarynet.__all__) <= set(namespace)
+    assert set(unarynet.__all__) <= set(dir(unarynet))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        unarynet.nonesuch
