@@ -90,8 +90,16 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_dataset(fh.read(), source=str(path))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        # the "x" ends the last line, so a byte that starts a line counts in it
+        line = len((data[:e.start].decode("ascii") + "x").splitlines())
+        raise ValueError(
+            f"{path}: line {line}: non-ASCII byte 0x{data[e.start]:02x}") from None
+    return parse_dataset(text, source=str(path))
 
 
 def bin_index(value: int, lo: int, hi: int, bins: int, clamp: bool = False) -> int:
@@ -108,6 +116,9 @@ def quantize_encode(
 ) -> list[TrainingSample]:
     """Bin and encode every row from per-bin segments and per-class one-hot outputs."""
     classes, length, bins, fixed = ds.num_classes, q.length, q.bins, q.family == "fixed"
+    if len(ds.rows[0][0]) != len(ds.feature_ranges):  # zip below would not notice
+        raise ValueError(f"rows have {len(ds.rows[0][0])} features, "
+                         f"feature_ranges has {len(ds.feature_ranges)}")
     segments = [(encode_fixed(b, length) if fixed else encode_one_hot(b + 1, length)).value
                 for b in range(bins)]
     outputs = {label: encode_one_hot(label + 1, classes) for label in range(classes)}

@@ -201,6 +201,27 @@ class TestQuantizeEncode:
         clamped = quantize_encode(ds, QuantizationSpec(4, 4), clamp=True)
         assert [str(s.input) for s in clamped] == ["00010000", "00010111", "01110000"]
 
+    @pytest.mark.parametrize("csv, got", [("a,label\n9,0\n1,1\n", 1),
+                                          ("a,b,c,label\n9,0,5,0\n1,1,6,1\n", 3)],
+                             ids=["missing-column", "extra-column"])
+    def test_feature_count_must_match_ranges(self, csv, got):
+        # a held-out set with a missing or an extra column, over 2-feature ranges
+        ranges = parse_dataset("a,b,label\n0,0,0\n9,9,1\n").feature_ranges
+        ds = dataclasses.replace(parse_dataset(csv), feature_ranges=ranges)
+        with pytest.raises(ValueError) as e:
+            quantize_encode(ds, QuantizationSpec(4, 4))
+        assert str(e.value) == f"rows have {got} features, feature_ranges has 2"
+
+    def test_non_ascii_byte_names_file_line_and_byte(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b,label\r\n1,2,0\r\n3,\xc3\xa9,1\n")
+        with pytest.raises(ValueError) as e:
+            load_dataset(str(path))
+        assert str(e.value) == f"{path}: line 3: non-ASCII byte 0xc3"
+        path.write_bytes(b"a,label\n1,0\n\xff")
+        with pytest.raises(ValueError, match=r": line 3: non-ASCII byte 0xff$"):
+            load_dataset(str(path))
+
     def test_negative_label_is_refused_not_indexed(self):
         ds = Dataset(("a",), (((1,), 1), ((2,), -1)), ((1, 2),))
         with pytest.raises(ValueError, match=r"^value 0 outside 1\.\.2$"):
