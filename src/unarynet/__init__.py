@@ -2,7 +2,7 @@
 integer-trained corner-classification network built on them.
 
 The public names below are imported from their home module on first use
-(PEP 562), so a process that needs only one module compiles only that one.
+(PEP 562), so a process that needs one module imports only that one.
 """
 
 from importlib import import_module

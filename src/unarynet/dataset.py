@@ -117,7 +117,7 @@ def quantize_encode(
     """Bin and encode every row from per-bin segments and per-class one-hot outputs."""
     classes, length, bins, fixed = ds.num_classes, q.length, q.bins, q.family == "fixed"
     if len(ds.rows[0][0]) != len(ds.feature_ranges):  # zip below would not notice
-        raise ValueError(f"rows have {len(ds.rows[0][0])} features, "
+        raise ValueError(f"feature count mismatch: rows have {len(ds.rows[0][0])}, "
                          f"feature_ranges has {len(ds.feature_ranges)}")
     segments = [(encode_fixed(b, length) if fixed else encode_one_hot(b + 1, length)).value
                 for b in range(bins)]

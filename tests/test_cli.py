@@ -228,14 +228,11 @@ class TestTrainPredictEval:
     def test_non_ascii_csv_names_file_and_line(self, capsys, tmp_path, command):
         data = tmp_path / "d.csv"
         data.write_bytes(b"a,b,label\n1,2,0\n3,\xc3\xa9,1\n")
-        model = tmp_path / "m.cc4"
-        run(capsys, "train", "--data", ANGLES, "--radius", "0",
-            "--bins", "4", "--length", "4", "--out", str(model))
         argv = {
             "train": ["--radius", "0", "--bins", "2", "--length", "2",
                       "--out", str(tmp_path / "out.cc4")],
             "sweep": ["--r-min", "0", "--r-max", "1"],
-            "eval": ["--model", str(model)],
+            "eval": ["--model", str(GOLDEN / "angles_r1.cc4.golden")],
         }[command]
         code, out, err = run(capsys, command, "--data", str(data), *argv)
         assert (code, out) == (1, "")

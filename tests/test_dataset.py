@@ -210,7 +210,7 @@ class TestQuantizeEncode:
         ds = dataclasses.replace(parse_dataset(csv), feature_ranges=ranges)
         with pytest.raises(ValueError) as e:
             quantize_encode(ds, QuantizationSpec(4, 4))
-        assert str(e.value) == f"rows have {got} features, feature_ranges has 2"
+        assert str(e.value) == f"feature count mismatch: rows have {got}, feature_ranges has 2"
 
     def test_non_ascii_byte_names_file_line_and_byte(self, tmp_path):
         path = tmp_path / "d.csv"
