@@ -18,8 +18,9 @@ load_network reads them back and enforces the bias rule on every row.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations, compress
 
 from .bitvec import BitWord
@@ -80,6 +81,16 @@ class CC4Network:
     def hidden_count(self) -> int:
         return len(self.anchors)
 
+    @cached_property
+    def _by_weight(self) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+        """The anchor weights, the anchors and their neuron indices, all in
+        ascending weight order. Derived, so not a field: ==, hash, repr and
+        the model text do not see it. Built on the first query."""
+        weights = [anchor.bit_count() for anchor in self.anchors]
+        order = tuple(sorted(range(len(weights)), key=weights.__getitem__))
+        return ([weights[i] for i in order],
+                tuple(self.anchors[i] for i in order), order)
+
 
 def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     """Build the network in one pass over the samples.
@@ -107,21 +118,24 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
-@lru_cache(maxsize=64)
-def _indices(count: int) -> tuple[int, ...]:
-    """0..count - 1, kept so that a call does not make count fresh ints."""
-    return tuple(range(count))
-
-
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
-    """Bit i is 1 iff d(x, anchor i) <= r."""
+    """Bit i is 1 iff d(x, anchor i) <= r.
+
+    |w(x) - w(a)| <= d(x, a) for Hamming weights w, so only the anchors whose
+    weight lies in [w(x) - r, w(x) + r] are tested."""
     if x.width != net.pattern_width:
         raise ValueError(
             f"query length {x.width} != pattern width {net.pattern_width}"
         )
     query, radius = x.value, net.radius
-    word = bytearray(b"0" * net.hidden_count)  # ASCII bits, neuron i at index i
-    for i in [i for anchor, i in zip(net.anchors, _indices(len(word)))
+    weights, anchors, order = net._by_weight
+    weight = query.bit_count()
+    if weights[0] < weight - radius or weights[-1] > weight + radius:
+        lo = bisect_left(weights, weight - radius)
+        hi = bisect_right(weights, weight + radius)
+        anchors, order = anchors[lo:hi], order[lo:hi]
+    word = bytearray(b"0" * len(weights))  # ASCII bits, neuron i at index i
+    for i in [i for anchor, i in zip(anchors, order)
               if (query ^ anchor).bit_count() <= radius]:
         word[i] = 49  # "1"
     return BitWord(int(word, 2), len(word))

@@ -199,6 +199,10 @@ def _cmd_sweep(args) -> int:
     else:
         bins = args.bins
     length = args.length if args.length is not None else bins
+    width = length * len(ds.feature_names)
+    if args.r_max > width:  # as checks.MAX_RADIUS: a larger ball covers no more words
+        raise ValueError(f"--r-max {args.r_max} exceeds the pattern width {width} "
+                         f"(features x length = {len(ds.feature_names)} x {length})")
     q = dataset.QuantizationSpec(bins, length, _family_key(args.family))
     samples = dataset.quantize_encode(ds, q)
     eval_samples = None

@@ -50,7 +50,13 @@ class QuantizationSpec:
 
 
 def parse_dataset(text: str, source: str = "<data>") -> Dataset:
-    lines = text.splitlines()
+    """Only LF or CR LF ends a line: a form feed or a bare CR stays inside its
+    line, so one malformed line never becomes two rows."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last line
     if not lines:
         raise ValueError(f"{source}: empty file")
     header = lines[0].split(",")
@@ -95,8 +101,7 @@ def load_dataset(path: str) -> Dataset:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as e:
-        # the "x" ends the last line, so a byte that starts a line counts in it
-        line = len((data[:e.start].decode("ascii") + "x").splitlines())
+        line = data.count(b"\n", 0, e.start) + 1  # lines as parse_dataset counts them
         raise ValueError(
             f"{path}: line {line}: non-ASCII byte 0x{data[e.start]:02x}") from None
     return parse_dataset(text, source=str(path))

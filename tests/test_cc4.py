@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 from math import comb
@@ -16,6 +17,7 @@ from unarynet.cc4 import (
     save_network,
     train,
 )
+from unarynet.codes import encode_fixed
 from unarynet.rng import Lcg64
 
 bw = BitWord.from_string
@@ -27,6 +29,14 @@ def sample(inp: str, out: str) -> TrainingSample:
 
 def all_words(width):
     return [binary_encode(v, width) for v in range(1 << width)]
+
+
+def thermometer(values, length):
+    """The concatenated fixed-length unary segments of values, as an int."""
+    word = 0
+    for value in values:
+        word = word << length | encode_fixed(value, length).value
+    return word
 
 
 def saved_rows(net):
@@ -131,10 +141,21 @@ class TestInference:
     @given(st.data())
     @settings(max_examples=200)
     def test_infer_matches_majority_reference(self, data):
-        width = data.draw(st.integers(1, 300))
         h, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 9))
+        if data.draw(st.booleans()):
+            width = data.draw(st.integers(1, 300))
+            anchors = data.draw(st.lists(st.integers(0, 2**width - 1),
+                                         min_size=h, max_size=h))
+        else:
+            # thermometer segments, as training builds them: their weights
+            # spread, so the weight band leaves anchors out
+            count, length = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 37))
+            width = count * length
+            anchors = [thermometer(data.draw(st.lists(st.integers(0, length),
+                                                      min_size=count, max_size=count)),
+                                   length)
+                       for _ in range(h)]
         radius = data.draw(st.integers(0, width))
-        anchors = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=h, max_size=h))
         labels = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=h, max_size=h))
         net = CC4Network(radius, width, m, tuple(anchors), tuple(labels))
         # a query a few flips from an anchor, so that some balls hold it
@@ -149,6 +170,47 @@ class TestInference:
         want = "".join("1" if 2 * column.count("1") > len(fired) else "0"
                        for column in map("".join, columns))
         assert str(infer(net, query)) == want
+
+    def test_weight_band_edges(self):
+        # query weight 4, r = 2: the band is weights 2..6, and the anchors are
+        # out of weight order, so a fire set at a sorted position would show
+        query = bw("00001111")
+        cases = [
+            ("11111111", 0),  # weight 8, outside the band
+            ("00111111", 1),  # weight w + r at distance r
+            ("00000000", 0),  # weight 0, outside the band
+            ("00000011", 1),  # weight w - r at distance r
+            ("01111111", 0),  # weight w + r + 1 at distance r + 1
+            ("00000001", 0),  # weight w - r - 1 at distance r + 1
+            ("11000011", 0),  # equal weight at distance 4 > r
+            ("00011111", 1),  # weight 5 at distance 1
+            ("00110111", 0),  # weight 5, inside the band, at distance r + 1
+        ]
+        net = CC4Network(2, 8, 1, tuple(int(a, 2) for a, _ in cases), (1,) * len(cases))
+        assert str(hidden_activations(net, query)) == "".join(str(f) for _, f in cases)
+
+    @pytest.mark.parametrize("radius", [0, 1, 4, 5, 9])
+    @pytest.mark.parametrize("h", [1, 2, 7])
+    def test_radius_extremes_match_distance(self, radius, h):
+        # r = 0, r = n and r > n, on one neuron and on several (n = 5)
+        anchors = tuple(int(a, 2) for a in ("10110", "00000", "11111", "10110",
+                                            "01000", "11101", "00111")[:h])
+        net = CC4Network(radius, 5, 1, anchors, (1,) * h)
+        for x in all_words(5):
+            want = "".join("01"[(x.value ^ a).bit_count() <= radius] for a in anchors)
+            assert str(hidden_activations(net, x)) == want
+
+    def test_weight_index_is_invisible(self):
+        net = train(Lcg64(3).next_training_set(8, 6, 3), 2)
+        fresh = dataclasses.replace(net)
+        infer(net, BitWord(net.anchors[0], net.pattern_width))
+        assert vars(net).keys() - vars(fresh).keys() == {"_by_weight"}
+        assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
+        assert save_network(net) == save_network(fresh)
+        assert dataclasses.fields(net) == dataclasses.fields(fresh)
+        assert [f.name for f in dataclasses.fields(CC4Network)] == [
+            "radius", "pattern_width", "output_count", "anchors", "labels"]
+        assert load_network(save_network(net)) == net
 
     def test_contradictory_duplicate_inputs_tie_to_zero(self):
         net = train([sample("1010", "1"), sample("1010", "0")], radius=1)

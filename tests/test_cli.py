@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,20 @@ class TestTrainPredictEval:
         assert (code, out) == (1, "")
         assert err == f"error: {data}: line 3: non-ASCII byte 0xc3\n"
 
+    @pytest.mark.parametrize("text, message", [
+        # one line that str.splitlines would split into two training rows
+        ("a,label\n1,2\x0c3,0\n5,1\n", "line 2: expected 2 fields, got 3"),
+        # a line that starts with a form feed still counts as one line
+        ("a,label\n1,0\n2,1\n\x0c3,0\nx,1\n", "line 5: non-integer field"),
+    ], ids=["form-feed-inside", "form-feed-first"])
+    def test_train_counts_only_lf_lines(self, capsys, tmp_path, text, message):
+        data = tmp_path / "d.csv"
+        data.write_bytes(text.encode())
+        code, out, err = run(capsys, "train", "--data", str(data), "--radius", "0",
+                             "--bins", "2", "--length", "2", "--out", str(tmp_path / "m"))
+        assert (code, out, err) == (1, "", f"error: {data}: {message}\n")
+        assert not (tmp_path / "m").exists()
+
     def test_eval_infers_segment_length(self, capsys, tmp_path):
         model = tmp_path / "m.cc4"
         run(capsys, "train", "--data", ANGLES, "--radius", "1",
@@ -262,6 +277,21 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--data", ANGLES,
                            "--r-min", "3", "--r-max", "1")
         assert code == 1
+
+    def test_r_max_bounded_by_pattern_width(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--data", ANGLES, "--r-min", "4", "--r-max", "4")
+        assert code == 0 and out.splitlines()[1].startswith("4\t")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "sweep", "--data", ANGLES,
+                                 "--r-min", "0", "--r-max", "10000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == ("error: --r-max 10000000000 exceeds the pattern width 4 "
+                       "(features x length = 1 x 4)\n")
+        assert peak < 1 << 20
 
     def test_holdout(self, capsys):
         code, out, _ = run(capsys, "sweep", "--data", ANGLES,

@@ -77,6 +77,28 @@ class TestParsing:
         ds = parse_dataset("a,label\n1,0\n\n2,1\n")
         assert len(ds.rows) == 2
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\r"])
+    def test_only_lf_ends_a_line(self, brk):
+        # str.splitlines would make the malformed line 2 two training rows
+        with pytest.raises(ValueError) as e:
+            parse_dataset(f"a,label\n1,2{brk}3,0\n5,1\n")
+        assert str(e.value) == "<data>: line 2: expected 2 fields, got 3"
+
+    def test_crlf_file_parses_as_lf(self, tmp_path):
+        text = "a,b,label\n1,2,0\n\n3,4,1\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        assert load_dataset(str(path)) == parse_dataset(text, source=str(path))
+        assert parse_dataset(text.rstrip("\n")) == parse_dataset(text)
+
+    def test_non_ascii_line_counts_only_lf(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,label\n\x0c1,0\n2,1\x1c\n\xc3,1\n")
+        with pytest.raises(ValueError) as e:
+            load_dataset(str(path))
+        assert str(e.value) == f"{path}: line 4: non-ASCII byte 0xc3"
+
     @given(st.data())
     @settings(max_examples=200)
     def test_rows_and_ranges_match_column_reference(self, data):
