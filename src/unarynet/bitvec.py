@@ -9,25 +9,46 @@ to share across threads.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 # ASCII '0'/'1' -> bit values 0/1
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True, slots=True)
 class BitWord:
     """A word of `width` bits; `value` is the word read as plain binary,
-    leftmost bit most significant."""
+    leftmost bit most significant. Immutable, and equal to (and hashed as)
+    exactly the BitWords of the same value and width."""
 
-    value: int
-    width: int
+    __slots__ = ("value", "width")
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
+    def __init__(self, value: int, width: int) -> None:
+        if width < 1:
             raise ValueError("BitWord must contain at least one bit")
-        if not 0 <= self.value < 1 << self.width:
-            raise ValueError(f"value {self.value} does not fit in {self.width} bits")
+        if not 0 <= value < 1 << width:
+            raise ValueError(f"value {value} does not fit in {width} bits")
+        _set_value(self, value)
+        _set_width(self, width)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.width == other.width
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.width))
+
+    def __repr__(self) -> str:
+        return f"BitWord(value={self.value!r}, width={self.width!r})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the word through __init__
+        return self.__class__, (self.value, self.width)
 
     @classmethod
     def from_string(cls, text: str) -> "BitWord":
@@ -79,6 +100,11 @@ class BitWord:
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b")
+
+
+# the slot setters, which __setattr__ refuses everyone else
+_set_value = BitWord.value.__set__
+_set_width = BitWord.width.__set__
 
 
 def hamming_distance(a: BitWord, b: BitWord) -> int:

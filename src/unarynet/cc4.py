@@ -82,14 +82,15 @@ class CC4Network:
         return len(self.anchors)
 
     @cached_property
-    def _by_weight(self) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+    def _by_weight(self) -> tuple[list[int], tuple[int, ...], tuple[int, ...], bytes]:
         """The anchor weights, the anchors and their neuron indices, all in
-        ascending weight order. Derived, so not a field: ==, hash, repr and
-        the model text do not see it. Built on the first query."""
+        ascending weight order, and an all-"0" ASCII word of h characters.
+        Derived, so not a field: ==, hash, repr and the model text do not see
+        it. Built on the first query."""
         weights = [anchor.bit_count() for anchor in self.anchors]
         order = tuple(sorted(range(len(weights)), key=weights.__getitem__))
-        return ([weights[i] for i in order],
-                tuple(self.anchors[i] for i in order), order)
+        return ([weights[i] for i in order], tuple([self.anchors[i] for i in order]),
+                order, b"0" * len(order))
 
 
 def train(samples: list[TrainingSample], radius: int) -> CC4Network:
@@ -122,22 +123,21 @@ def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
     """Bit i is 1 iff d(x, anchor i) <= r.
 
     |w(x) - w(a)| <= d(x, a) for Hamming weights w, so only the anchors whose
-    weight lies in [w(x) - r, w(x) + r] are tested."""
+    weight lies in [w(x) - r, w(x) + r] are tested, in one pass that writes
+    each fired neuron's character into an ASCII word: linear in h however
+    many fire."""
     if x.width != net.pattern_width:
         raise ValueError(
             f"query length {x.width} != pattern width {net.pattern_width}"
         )
     query, radius = x.value, net.radius
-    weights, anchors, order = net._by_weight
+    weights, anchors, order, zeros = net._by_weight
     weight = query.bit_count()
-    if weights[0] < weight - radius or weights[-1] > weight + radius:
-        lo = bisect_left(weights, weight - radius)
-        hi = bisect_right(weights, weight + radius)
-        anchors, order = anchors[lo:hi], order[lo:hi]
-    word = bytearray(b"0" * len(weights))  # ASCII bits, neuron i at index i
-    for i in [i for anchor, i in zip(anchors, order)
-              if (query ^ anchor).bit_count() <= radius]:
-        word[i] = 49  # "1"
+    lo = bisect_left(weights, weight - radius)
+    word = bytearray(zeros)  # neuron i at index i
+    for k in range(lo, bisect_right(weights, weight + radius, lo)):
+        if (query ^ anchors[k]).bit_count() <= radius:
+            word[order[k]] = 49  # "1"
     return BitWord(int(word, 2), len(word))
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+# sweep's default bins is the widest feature range; above this it refuses
+SWEEP_DEFAULT_BINS_CAP = 1024
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -67,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=int, required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--bins", type=int,
-                   help="default: widest feature range in the data")
+                   help="default: widest feature range in the data, "
+                        f"if it holds at most {SWEEP_DEFAULT_BINS_CAP} values")
     p.add_argument("--length", type=int, help="default: same as bins")
     p.add_argument("--family", choices=["fixed", "one-hot"], default="fixed")
     p.add_argument("--holdout-every", type=int, metavar="N",
@@ -195,7 +199,13 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"bad radius range {args.r_min}..{args.r_max}")
     ds = dataset.load_dataset(args.data)
     if args.bins is None:
-        bins = max(hi - lo + 1 for lo, hi in ds.feature_ranges)
+        (lo, hi), name = max(zip(ds.feature_ranges, ds.feature_names),
+                             key=lambda pair: pair[0][1] - pair[0][0])
+        bins = hi - lo + 1
+        if bins > SWEEP_DEFAULT_BINS_CAP:
+            raise ValueError(
+                f"feature {name!r} ranges over {lo}..{hi}: {bins} values, more than "
+                f"the {SWEEP_DEFAULT_BINS_CAP} that --bins defaults to at most; pass --bins")
     else:
         bins = args.bins
     length = args.length if args.length is not None else bins

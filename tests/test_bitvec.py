@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -62,6 +64,44 @@ class TestBitWord:
 
     def test_hashable(self):
         assert len({bw("01"), bw("01"), bw("10")}) == 2
+
+
+class TestValueSemantics:
+    """A BitWord is an immutable value: it is its (value, width) pair."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        word = BitWord(5, 4)
+        for name in ("value", "width"):
+            with pytest.raises(AttributeError):
+                setattr(word, name, 3)
+            with pytest.raises(AttributeError):
+                delattr(word, name)
+        with pytest.raises(AttributeError):
+            word.extra = 1
+        assert (word.value, word.width) == (5, 4)
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(BitWord(5, 4), "__dict__")
+
+    def test_equality_and_hash_follow_value_and_width(self):
+        assert BitWord(5, 4) == BitWord(5, 4)
+        assert hash(BitWord(5, 4)) == hash(BitWord(5, 4)) == hash((5, 4))
+        assert BitWord(5, 4) != BitWord(5, 5)
+        assert BitWord(5, 4) != BitWord(4, 4)
+        assert BitWord(1, 1) != (1, 1) and (1, 1) != BitWord(1, 1)
+        assert BitWord(1, 1) != 1 and BitWord(0, 1) != "0"
+
+    def test_repr(self):
+        assert repr(BitWord(5, 4)) == "BitWord(value=5, width=4)"
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda word: pickle.loads(pickle.dumps(word))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_equal_words(self, clone):
+        for word in (BitWord(5, 4), BitWord(0, 1), BitWord(2**300 - 1, 300)):
+            twin = clone(word)
+            assert type(twin) is BitWord
+            assert twin == word and hash(twin) == hash(word) and str(twin) == str(word)
 
 
 bit_tuples = st.lists(st.integers(0, 1), min_size=1, max_size=300).map(tuple)

@@ -200,6 +200,35 @@ class TestInference:
             want = "".join("01"[(x.value ^ a).bit_count() <= radius] for a in anchors)
             assert str(hidden_activations(net, x)) == want
 
+    @pytest.mark.parametrize("h", [1, 7, 8, 9, 63, 64, 65, 1000])
+    def test_fire_word_across_byte_and_word_boundaries(self, h):
+        # h straddles the byte and 64-bit boundaries of the fire word. The
+        # anchors are random, so out of weight order, plus the all-0 and all-1
+        # words, whose weights differ by exactly n from the opposite query.
+        width, rng = 12, Lcg64(h)
+        anchors = [0, (1 << width) - 1] + [rng.next_below(1 << width) for _ in range(h)]
+        anchors = tuple(anchors[:h])
+        queries = [0, (1 << width) - 1, *anchors[:8],
+                   *(rng.next_below(1 << width) for _ in range(8))]
+
+        def brute(x, radius):
+            return "".join("01"[(x ^ a).bit_count() <= radius] for a in anchors)
+
+        for x in queries:
+            nearest = min((x ^ a).bit_count() for a in anchors)
+            # r = 0, a middle radius, r = n (all fire), and the largest
+            # radius under which no anchor fires (when the query is no anchor)
+            radii = {0, width // 3, width} | ({nearest - 1} if nearest else set())
+            for radius in radii:
+                net = CC4Network(radius, width, 1, anchors, (1,) * h)
+                fired = hidden_activations(net, BitWord(x, width))
+                assert fired.width == h
+                assert str(fired) == brute(x, radius), (x, radius)
+                if radius == width:
+                    assert fired.value == (1 << h) - 1
+                if radius == nearest - 1:
+                    assert fired.value == 0
+
     def test_weight_index_is_invisible(self):
         net = train(Lcg64(3).next_training_set(8, 6, 3), 2)
         fresh = dataclasses.replace(net)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -6,7 +9,7 @@ import pytest
 from unarynet import checks
 from unarynet.cc4 import load_network, save_network
 from unarynet.checks import PropertyResult
-from unarynet.cli import main
+from unarynet.cli import SWEEP_DEFAULT_BINS_CAP, main
 
 ROOT = Path(__file__).resolve().parent.parent
 ANGLES = str(ROOT / "data" / "angles.csv")
@@ -292,6 +295,36 @@ class TestSweep:
         assert err == ("error: --r-max 10000000000 exceeds the pattern width 4 "
                        "(features x length = 1 x 4)\n")
         assert peak < 1 << 20
+
+    def test_default_bins_capped(self, tmp_path):
+        # bins would default to the 10^8 + 1 values of feature a, and encoding
+        # that many one-bit segments per row never ends: refused up front
+        data = tmp_path / "wide.csv"
+        data.write_text("a,label\n0,0\n100000000,1\n", encoding="ascii")
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "unarynet.cli", "sweep", "--data", str(data),
+             "--r-min", "0", "--r-max", "1"],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: feature 'a' ranges over 0..100000000: 100000001 values, more than "
+            f"the {SWEEP_DEFAULT_BINS_CAP} that --bins defaults to at most; pass --bins\n")
+
+    def test_default_bins_at_the_cap_runs(self, capsys, tmp_path):
+        data = tmp_path / "cap.csv"
+        top = SWEEP_DEFAULT_BINS_CAP - 1
+        data.write_text(f"a,b,label\n0,5,0\n{top},7,1\n", encoding="ascii")
+        code, out, _ = run(capsys, "sweep", "--data", str(data), "--r-min", "0", "--r-max", "0")
+        assert code == 0 and out.splitlines()[1] == "0\t1.0000\t2/2\t0\t1"
+        data.write_text(f"a,b,label\n0,5,0\n{top + 1},7,1\n", encoding="ascii")
+        code, out, err = run(capsys, "sweep", "--data", str(data), "--r-min", "0", "--r-max", "0")
+        assert (code, out) == (1, "") and f"0..{top + 1}: {top + 2} values" in err
+        code, out, _ = run(capsys, "sweep", "--data", str(data), "--bins", "4",
+                           "--r-min", "0", "--r-max", "0")
+        assert code == 0
 
     def test_holdout(self, capsys):
         code, out, _ = run(capsys, "sweep", "--data", ANGLES,

@@ -51,6 +51,37 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
         f"unarynet.{m}" for m in loaded}
 
 
+# Runs one subcommand through cli.main, then prints its exit code and which
+# of dataclasses and inspect it loaded that were not loaded before it ran.
+HEAVY_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+from unarynet import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--which", "1"],
+     ["encode", "--family", "fixed", "--n", "3", "--length", "5"],
+     ["decode", "--family", "fixed", "--word", "00111"]],
+    ids=lambda argv: argv[0],
+)
+def test_code_subcommands_load_neither_dataclasses_nor_inspect(argv):
+    # BitWord is a plain class, so the commands that need only bitvec, codes
+    # and tables skip the 5-10 ms import of dataclasses and of inspect under it
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", HEAVY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 def test_every_public_name_resolves_to_its_home_module():
     assert len(unarynet.__all__) == len(set(unarynet.__all__)) == 32
     for name in unarynet.__all__:
