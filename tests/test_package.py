@@ -25,6 +25,17 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "unarynet"))
 """
 
 
+def run_probe(probe, argv):
+    """The words a probe prints, run in a fresh interpreter on src/."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -39,14 +50,8 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "unarynet"))
 )
 def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
     argv = [a.format(tmp=tmp_path / "m.cc4") for a in argv]
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    code, *modules = proc.stdout.split()
-    assert code == "0", proc.stderr
+    code, *modules = run_probe(PROBE, argv)
+    assert code == "0"
     assert set(modules) == {"unarynet", "unarynet.cli"} | {
         f"unarynet.{m}" for m in loaded}
 
@@ -72,14 +77,8 @@ print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
 )
 def test_code_subcommands_load_neither_dataclasses_nor_inspect(argv):
     # BitWord is a plain class, so the commands that need only bitvec, codes
-    # and tables skip the 5-10 ms import of dataclasses and of inspect under it
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", HEAVY_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    # and tables skip importing dataclasses and the inspect module under it
+    assert run_probe(HEAVY_PROBE, argv) == ["0"]
 
 
 def test_every_public_name_resolves_to_its_home_module():
