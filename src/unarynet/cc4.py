@@ -26,7 +26,6 @@ from itertools import combinations, compress
 from .bitvec import BitWord
 
 MODEL_MAGIC = "CC4"
-MODEL_VERSION = 1
 
 _SIGNS = {"1", "-1"}
 
@@ -57,6 +56,7 @@ class CC4Network:
     output_count: int
     anchors: tuple[int, ...]
     labels: tuple[int, ...]
+    quantizer: str = ""  # the header's words after r, read by dataset; "" is version 1
 
     def __post_init__(self) -> None:
         if self.radius < 0:
@@ -188,7 +188,8 @@ def _read_signs(text: str, width: int) -> int | None:
 def save_network(net: CC4Network) -> str:
     """The weight form as canonical text; round-trips bit-exactly."""
     width, h, m, r = net.pattern_width, net.hidden_count, net.output_count, net.radius
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION} {net.input_width} {h} {m} {r}"]
+    q = net.quantizer  # a quantizer makes the header version 2
+    lines = [f"{MODEL_MAGIC} {2 if q else 1} {net.input_width} {h} {m} {r} {q}".rstrip(" ")]
     for anchor in net.anchors:
         lines.append(f"{_sign_row(anchor, width)} {r - anchor.bit_count() + 1}")
     label_bits = [format(label, f"0{m}b") for label in net.labels]
@@ -251,22 +252,23 @@ def load_network(text: str) -> CC4Network:
     if not lines:
         raise ValueError("empty model text")
     header = lines[0].split()
-    if len(header) != 6 or header[0] != MODEL_MAGIC:
+    if len(header) < 6 or header[0] != MODEL_MAGIC:
         raise ValueError(f"line 1: bad model header: {_quote(lines[0])}")
     try:
-        version, n, h, m, radius = (int(f) for f in header[1:])
+        version, n, h, m, radius = (int(f) for f in header[1:6])
     except ValueError:
         raise ValueError(
             f"line 1: non-integer field in model header: {_quote(lines[0])}") from None
-    if version != MODEL_VERSION:
-        raise ValueError(f"line 1: unsupported model version {version}")
     if n < 2 or h < 1 or m < 1:
         raise ValueError(
             f"line 1: model header needs n >= 2, h >= 1, m >= 1: {_quote(lines[0])}")
-    canonical = f"{MODEL_MAGIC} {version} {n} {h} {m} {radius}"
+    quantizer = " ".join(header[6:])
+    canonical = f"{MODEL_MAGIC} {version} {n} {h} {m} {radius} {quantizer}".rstrip(" ")
     if lines[0] != canonical:
         raise ValueError(f"line 1: model header {_quote(lines[0], canonical)}"
                          f" is not in canonical form {_quote(canonical, lines[0])}")
+    if version != (2 if quantizer else 1):
+        raise ValueError(f"line 1: version {version} with {len(header) - 6} quantizer words")
     if len(lines) != 1 + h + m:
         raise ValueError(f"expected {1 + h + m} lines, found {len(lines)}")
 
@@ -294,7 +296,7 @@ def load_network(text: str) -> CC4Network:
                              + _quote(line, _sign_row(column, h)))
         columns.append(format(column, f"0{h}b"))
     labels = tuple(int("".join(bits), 2) for bits in zip(*columns))
-    net = CC4Network(radius, n - 1, m, tuple(anchors), labels)
+    net = CC4Network(radius, n - 1, m, tuple(anchors), labels, quantizer)
     if late:
         raise ValueError(late)
     return net

@@ -56,13 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model on a CSV dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--bins", type=int,
-                   help="bins used at training time (default: inferred length)")
-    p.add_argument("--length", type=int,
-                   help="per-feature code length used at training time "
-                        "(default: model width / feature count)")
-    p.add_argument("--family", choices=["fixed", "one-hot"], default="fixed")
-    p.add_argument("--clamp", action="store_true")
+    p.add_argument("--clamp", action="store_true", help="clamp values into training range")
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("sweep", help="tabulate accuracy per radius")
@@ -146,11 +140,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from dataclasses import replace
     from . import cc4, dataset
     ds = dataset.load_dataset(args.data)
     q = dataset.QuantizationSpec(args.bins, args.length, _family_key(args.family))
     samples = dataset.quantize_encode(ds, q)
-    net = cc4.train(samples, args.radius)
+    words = dataset.quantizer_words(q, ds.feature_ranges)
+    net = replace(cc4.train(samples, args.radius), quantizer=words)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(cc4.save_network(net))
     print(f"trained n={net.input_width} h={net.hidden_count} "
@@ -174,19 +170,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from dataclasses import replace
     from . import dataset
     net = _load_model(args.model)
-    ds = dataset.load_dataset(args.data)
-    length = args.length
-    if length is None:
-        if net.pattern_width % len(ds.feature_names) != 0:
-            raise ValueError(
-                f"cannot infer per-feature length: model width {net.pattern_width} "
-                f"is not a multiple of {len(ds.feature_names)} features")
-        length = net.pattern_width // len(ds.feature_names)
-    bins = args.bins if args.bins is not None else length
-    q = dataset.QuantizationSpec(bins, length, _family_key(args.family))
-    samples = dataset.quantize_encode(ds, q, clamp=args.clamp)
+    ds = dataset.load_dataset(args.data)  # before the quantizer: a CSV fault names its line
+    q, ranges = dataset.read_quantizer(net.quantizer, net.pattern_width)
+    samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q, clamp=args.clamp)
     report = dataset.evaluate(net, samples)
     for line in report.lines():
         print(line)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bitvec import BitWord
-from .cc4 import CC4Network, TrainingSample, infer, train
+from .cc4 import CC4Network, TrainingSample, _quote, infer, train
 from .codes import encode_fixed, encode_one_hot
 
 QUANT_FAMILIES = ("fixed", "one_hot")
@@ -65,14 +65,18 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
     names = tuple(h.strip() for h in header[:-1])
     arity = len(names)
     rows = []
+    body = text[len(lines[0]) + 1:].encode("ascii", "replace")  # int() also reads "+3", " 7"
+    plain = not body.translate(None, b"0123456789,\n-")
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line:
             continue
         fields = line.split(",")
         if len(fields) != arity + 1:
             raise ValueError(f"{source}: line {lineno}: "
                              f"expected {arity + 1} fields, got {len(fields)}")
         try:
+            if not plain and line.strip("0123456789,-"):  # int() reads it, a row may not
+                raise ValueError
             *values, label = map(int, fields)
         except ValueError:
             raise ValueError(f"{source}: line {lineno}: non-integer field") from None
@@ -93,6 +97,25 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
         )
     ranges = tuple((min(column), max(column)) for column in zip(*(f for f, _ in rows)))
     return Dataset(names, tuple(rows), ranges)
+
+
+def quantizer_words(q: QuantizationSpec, ranges: tuple[tuple[int, int], ...]) -> str:
+    """A model header's quantizer: family, bins, length, then each feature's lo hi."""
+    return " ".join(map(str, (q.family, q.bins, q.length, *(b for r in ranges for b in r))))
+
+
+def read_quantizer(words: str, width: int) -> tuple[QuantizationSpec, tuple]:
+    """The spec and ranges of exactly the words quantizer_words writes for width bits."""
+    try:
+        family, bins, length, *bounds = words.split(" ")
+        q = QuantizationSpec(int(bins), int(length), family)
+        ranges = tuple(zip(map(int, bounds[::2]), map(int, bounds[1::2])))
+        if words != quantizer_words(q, ranges) or len(ranges) * q.length != width:
+            raise ValueError(f"{_quote(words)} is not canonical for {width}-bit patterns")
+    except ValueError as e:
+        raise ValueError(f"line 1: bad quantizer: {e}" if words else
+                         "the model records no quantizer (model version 1)") from None
+    return q, ranges
 
 
 def load_dataset(path: str) -> Dataset:

@@ -238,7 +238,7 @@ class TestInference:
         assert save_network(net) == save_network(fresh)
         assert dataclasses.fields(net) == dataclasses.fields(fresh)
         assert [f.name for f in dataclasses.fields(CC4Network)] == [
-            "radius", "pattern_width", "output_count", "anchors", "labels"]
+            "radius", "pattern_width", "output_count", "anchors", "labels", "quantizer"]
         assert load_network(save_network(net)) == net
 
     def test_contradictory_duplicate_inputs_tie_to_zero(self):
@@ -328,6 +328,15 @@ class TestSerialization:
         net = train([sample("1010", "10")], 1)
         assert save_network(net) == "CC4 1 5 1 2 1\n1 -1 1 -1 0\n1\n-1\n"
 
+    def test_quantizer_words_make_version_2(self):
+        net = dataclasses.replace(train([sample("1010", "10")], 1), quantizer="fixed 4 4 1 4")
+        text = save_network(net)
+        assert text == "CC4 2 5 1 2 1 fixed 4 4 1 4\n1 -1 1 -1 0\n1\n-1\n"
+        assert load_network(text) == net
+        assert load_network(text).quantizer == "fixed 4 4 1 4"
+        assert load_network(text.replace(" fixed 4 4 1 4", "", 1).replace("2", "1", 1)) == (
+            dataclasses.replace(net, quantizer=""))
+
     def test_roundtrip_both_directions(self):
         rng = Lcg64(3)
         samples = rng.next_training_set(8, 6, 3)
@@ -367,6 +376,13 @@ class TestSerialization:
             ("", "empty"),
             ("XX4 1 5 1 1 1\n1 1 1 1 1\n1\n", "bad model header"),
             ("CC4 2 5 1 1 1\n1 1 1 1 1\n1\n", "version"),
+            # the version says whether words follow r: 2 with them, 1 without
+            ("CC4 2 5 1 1 1\n-1 -1 -1 -1 2\n1\n", "line 1: version 2 with 0 quantizer words"),
+            ("CC4 1 5 1 1 1 x\n-1 -1 -1 -1 2\n1\n", "line 1: version 1 with 1 quantizer words"),
+            ("CC4 3 5 1 1 1 x\n-1 -1 -1 -1 2\n1\n", "line 1: version 3 with 1 quantizer words"),
+            ("CC4 2 5 1 1 1 x  y\n-1 -1 -1 -1 2\n1\n", "line 1: .* not in canonical form"),
+            ("CC4 2 5 1 1 1 x\ty\n-1 -1 -1 -1 2\n1\n", "line 1: .* not in canonical form"),
+            ("CC4 2 5 1 1 1 x \n-1 -1 -1 -1 2\n1\n", "line 1: .* not in canonical form"),
             ("CC4 1 1 1 1 0\n1\n1\n", "n >= 2"),
             ("CC4 1 5 1 1 1\n1 1 1 1 1\n1\n1\n", "expected 3 lines"),
             ("CC4 1 5 1 1 1\n1 1 1 1\n1\n", "hidden row has 4 fields"),
@@ -404,7 +420,7 @@ class TestSerialization:
             *((f"CC4 1 5 1 1 1\n-1 -1{brk}-1 -1 2\n1\n", r"row 1 \(line 2\): not in canon")
               for brk in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r")),
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n1\u2028\n", "line 3: output row is not in"),
-            ("CC4 1 5 1 1 1\r-1 -1 -1 -1 2\n1\n", "line 1: bad model header"),
+            ("CC4 1 5 1 1 1\r-1 -1 -1 -1 2\n1\n", "line 1: model header .* not in canonical"),
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n1\n\n", "expected 3 lines, found 4"),
             # a bias too long to print whole, or for int() to read
             pytest.param("CC4 1 5 1 1 1\n-1 -1 -1 -1 " + "9" * 4000 + "\n1\n",

@@ -120,7 +120,7 @@ class TestTrainPredictEval:
         assert "h=4" in out
 
         text = model.read_text()
-        assert text.startswith("CC4 1 5 4 4 0\n")
+        assert text.startswith("CC4 2 5 4 4 0 fixed 4 4 1 4\n")
 
         code, out, _ = run(capsys, "eval", "--model", str(model),
                            "--data", ANGLES)
@@ -167,8 +167,8 @@ class TestTrainPredictEval:
         assert got == want == (0, "0100\n", "")
 
     @pytest.mark.parametrize("lineno, old, new", [
-        (1, "CC4 1", "CC4 01"), (1, " 0\n", " +0\n"), (1, " 0\n", " 0_0\n"),
-        (1, " 0\n", " \u0660\n"), (1, "CC4 ", "CC4\t"),
+        (1, "CC4 2", "CC4 02"), (1, " 0 fixed", " +0 fixed"), (1, " 0 fixed", " 0_0 fixed"),
+        (1, " 0 fixed", " \u0660 fixed"), (1, "CC4 ", "CC4\t"),
         (2, " 1\n", " +1\n"), (2, " 1\n", " 01\n"), (2, " 1\n", " 0_1\n"),
         (2, " 1\n", " \u0661\n"),
         (4, " ", "  "), (4, " ", "\t"), (4, "\n", " \n"),
@@ -193,12 +193,34 @@ class TestTrainPredictEval:
         code, _, _ = run(capsys, "train", "--data", ANGLES, "--radius", "1",
                          "--bins", "4", "--length", "4", "--out", str(model))
         assert code == 0
-        golden = GOLDEN / "angles_r1.cc4.golden"
+        golden = GOLDEN / "angles_r1_v2.cc4.golden"
         assert model.read_bytes() == golden.read_bytes()
+        assert golden.read_text().startswith("CC4 2 5 4 4 1 fixed 4 4 1 4\n")
         # 0000 fires the anchors 0000 and 0001, whose classes get one of two votes each
         code, out, _ = run(capsys, "predict", "--model", str(golden), "--input", "0000")
         assert (code, out) == (0, "0000\n")
         assert save_network(load_network(golden.read_text())) == golden.read_text()
+
+    def test_v1_golden_loads_for_predict_but_not_eval(self, capsys):
+        # a model written before the header recorded its quantizer
+        golden = GOLDEN / "angles_r1.cc4.golden"
+        assert golden.read_text().startswith("CC4 1 5 4 4 1\n")
+        code, out, _ = run(capsys, "predict", "--model", str(golden), "--input", "0000")
+        assert (code, out) == (0, "0000\n")
+        assert save_network(load_network(golden.read_text())) == golden.read_text()
+        code, out, err = run(capsys, "eval", "--model", str(golden), "--data", ANGLES)
+        assert (code, out) == (1, "")
+        assert err == "error: the model records no quantizer (model version 1)\n"
+
+    def test_train_header_records_each_feature_range(self, capsys, tmp_path):
+        model, data = tmp_path / "m.cc4", tmp_path / "d.csv"
+        data.write_text("a,b,label\n-3,9,0\n2,5,1\n-1,7,0\n")
+        code, _, _ = run(capsys, "train", "--data", str(data), "--radius", "0", "--bins", "2",
+                         "--length", "3", "--family", "one-hot", "--out", str(model))
+        assert code == 0
+        assert model.read_text().split("\n")[0] == "CC4 2 7 3 2 0 one_hot 2 3 -3 2 5 9"
+        code, out, _ = run(capsys, "eval", "--model", str(model), "--data", str(data))
+        assert (code, out.split("\n")[:2]) == (0, ["samples\t3", "exact_matches\t3"])
 
     def test_eval_rejects_output_width_mismatch(self, capsys, tmp_path):
         model = tmp_path / "m.cc4"
@@ -245,8 +267,8 @@ class TestTrainPredictEval:
     @pytest.mark.parametrize("text, message", [
         # one line that str.splitlines would split into two training rows
         ("a,label\n1,2\x0c3,0\n5,1\n", "line 2: expected 2 fields, got 3"),
-        # a line that starts with a form feed still counts as one line
-        ("a,label\n1,0\n2,1\n\x0c3,0\nx,1\n", "line 5: non-integer field"),
+        # a line that starts with a form feed is one line, refused: int() reads "\x0c3"
+        ("a,label\n1,0\n2,1\n\x0c3,0\nx,1\n", "line 4: non-integer field"),
     ], ids=["form-feed-inside", "form-feed-first"])
     def test_train_counts_only_lf_lines(self, capsys, tmp_path, text, message):
         data = tmp_path / "d.csv"
@@ -256,14 +278,72 @@ class TestTrainPredictEval:
         assert (code, out, err) == (1, "", f"error: {data}: {message}\n")
         assert not (tmp_path / "m").exists()
 
-    def test_eval_infers_segment_length(self, capsys, tmp_path):
+
+class TestEvalEncodesAsTrained:
+    """eval bins and codes its rows with the quantizer the model header records."""
+
+    CLASSES = ["class\t0001\t{}/1", "class\t0010\t{}/1", "class\t0100\t{}/1",
+               "class\t1000\t{}/1"]
+
+    def train(self, capsys, tmp_path, *flags):
         model = tmp_path / "m.cc4"
-        run(capsys, "train", "--data", ANGLES, "--radius", "1",
-            "--bins", "4", "--length", "4", "--out", str(model))
-        code, out, _ = run(capsys, "eval", "--model", str(model),
-                           "--data", ANGLES)
+        code, _, _ = run(capsys, "train", "--data", ANGLES, "--radius", "0",
+                         "--out", str(model), *flags)
         assert code == 0
-        assert "samples\t4" in out
+        return str(model)
+
+    def report(self, exact, no_decision, hits):
+        return "\n".join([
+            "samples\t4", f"exact_matches\t{exact}", f"accuracy\t{exact / 4:.4f}",
+            f"no_decision\t{no_decision}",
+            *(line.format(hit) for line, hit in zip(self.CLASSES, hits))]) + "\n"
+
+    def test_held_out_rows_use_the_training_range(self, capsys, tmp_path):
+        # over the file's own range 12..42 these rows would bin like 1..4 and
+        # all match; over the training range 1..4 they lie above it
+        model = self.train(capsys, tmp_path, "--bins", "4", "--length", "4")
+        data = tmp_path / "held.csv"
+        data.write_text("angle,label\n12,0\n22,1\n32,2\n42,3\n")
+        code, out, err = run(capsys, "eval", "--model", model, "--data", str(data))
+        assert (code, out) == (1, "")
+        assert err == "error: row 1, feature 'angle': value 12 outside declared range 1..4\n"
+        # clamped, every row falls in the last bin: only the class-3 row is right
+        code, out, err = run(capsys, "eval", "--model", model, "--data", str(data), "--clamp")
+        assert (code, out, err) == (0, self.report(1, 0, [1, 0, 0, 0]), "")
+
+    @pytest.mark.parametrize("flags", [["--bins", "4", "--length", "6"],
+                                       ["--bins", "4", "--length", "4", "--family", "one-hot"]],
+                             ids=["length-6", "one-hot"])
+    def test_training_file_scores_four_of_four(self, capsys, tmp_path, flags):
+        model = self.train(capsys, tmp_path, *flags)
+        code, out, err = run(capsys, "eval", "--model", model, "--data", ANGLES)
+        assert (code, out, err) == (0, self.report(4, 0, [1, 1, 1, 1]), "")
+
+    def test_eval_has_no_encoding_flags(self, capsys):
+        code, out, _ = run(capsys, "eval", "--help")
+        assert code == 0 and "--clamp" in out
+        assert not {"--bins", "--length", "--family"} & set(out.split())
+        for flag, value in [("--bins", "4"), ("--length", "4"), ("--family", "fixed")]:
+            code, _, err = run(capsys, "eval", "--model", "m", "--data", ANGLES, flag, value)
+            assert code == 1 and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("old, new", [
+        (" 1 4\n", " +1 4\n"), (" 1 4\n", " 01 4\n"), (" 1 4\n", " 0_1 4\n"),
+        (" 4 4 1 4\n", " +4 4 1 4\n"), (" 4 4 1 4\n", " 04 4 1 4\n"),
+        (" 4 4 1 4\n", " 0_4 4 1 4\n"), (" 1 4\n", " -0 4\n"), (" 1 4\n", " 1 4 \n"),
+        (" fixed 4", " fixed  4"), (" fixed 4", " fixed\t4"), (" fixed", " gray"),
+        (" fixed", " one-hot"), (" 4 4 1 4\n", " 5 4 1 4\n"), (" 4 1 4\n", " 4 1\n"),
+        (" 1 4\n", " 1 4 1 4\n"), (" 4 4 1 4\n", " 2 2 1 4\n"),
+        (" fixed 4 4 1 4\n", "\n"), ("CC4 2", "CC4 1"), ("CC4 2", "CC4 3"),
+    ])
+    def test_eval_rejects_a_bad_quantizer_on_line_1(self, capsys, tmp_path, old, new):
+        model = self.train(capsys, tmp_path, "--bins", "4", "--length", "4")
+        text = Path(model).read_text()
+        assert text.startswith("CC4 2 5 4 4 0 fixed 4 4 1 4\n")
+        Path(model).write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "eval", "--model", model, "--data", ANGLES)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 1: ") and "Traceback" not in err
 
 
 class TestSweep:

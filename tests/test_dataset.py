@@ -18,6 +18,8 @@ from unarynet.dataset import (
     load_dataset,
     parse_dataset,
     quantize_encode,
+    quantizer_words,
+    read_quantizer,
     sweep_radius,
     sweep_table,
 )
@@ -54,6 +56,20 @@ class TestParsing:
     def test_non_integer_field_names_line(self):
         with pytest.raises(ValueError, match="line 2: non-integer"):
             parse_dataset("a,label\nx,0\n")
+
+    @pytest.mark.parametrize("row", ["1_000,0", " 7 ,0", "7, 0", "+3,0", "3,+0", "\u0663,0",
+                                     "3\t,0", "3\r,0", "3\x0c,0", " ", "\x0c", "1,0 "])
+    def test_data_rows_hold_only_digits_commas_and_minus(self, row):
+        # int() reads each of these fields; a data row may not spell them so
+        text = f"a b+_\t,label\n1,0\n{row}\n2,1\n"
+        with pytest.raises(ValueError) as e:
+            parse_dataset(text, source="d.csv")
+        message = "expected 2 fields, got 1" if "," not in row else "non-integer field"
+        assert str(e.value) == f"d.csv: line 3: {message}"
+
+    def test_leading_zeros_still_read(self):
+        # refused only at a cost that would show in a parse (see CHANGES.md)
+        assert parse_dataset("a,label\n007,0\n-0,1\n").rows == (((7,), 0), ((0,), 1))
 
     def test_labels_must_be_dense(self):
         with pytest.raises(ValueError, match="missing \\[1\\]"):
@@ -129,6 +145,36 @@ class TestParsing:
         with pytest.raises(ValueError) as got:
             parse_dataset("\n".join([header] + lines) + "\n", source="t.csv")
         assert str(got.value) == message
+
+
+class TestQuantizerWords:
+    def test_words(self):
+        q = QuantizationSpec(4, 6, "one_hot")
+        assert quantizer_words(q, ((1, 4), (-3, 0))) == "one_hot 4 6 1 4 -3 0"
+        assert read_quantizer("one_hot 4 6 1 4 -3 0", 12) == (q, ((1, 4), (-3, 0)))
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_round_trip(self, data):
+        length = data.draw(st.integers(1, 40))
+        q = QuantizationSpec(data.draw(st.integers(1, length)), length,
+                             data.draw(st.sampled_from(QUANT_FAMILIES)))
+        lows = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6))
+        ranges = tuple((lo, lo + data.draw(st.integers(0, 10**6))) for lo in lows)
+        words = quantizer_words(q, ranges)
+        assert read_quantizer(words, length * len(ranges)) == (q, ranges)
+        # any other width is refused, and so is any respelt field
+        with pytest.raises(ValueError, match="^line 1: "):
+            read_quantizer(words, length * len(ranges) + 1)
+        fields = words.split(" ")
+        at = data.draw(st.integers(1, len(fields) - 1))
+        fields[at] = data.draw(st.sampled_from(["+", "0", "0_", " "])) + fields[at]
+        with pytest.raises(ValueError, match="^line 1: "):
+            read_quantizer(" ".join(fields), length * len(ranges))
+
+    def test_no_words_is_a_version_1_model(self):
+        with pytest.raises(ValueError, match="^the model records no quantizer"):
+            read_quantizer("", 4)
 
 
 class TestBinning:
