@@ -10,6 +10,7 @@ property family using its own fixed seed offset so cells are independent.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress
 from operator import and_, or_
@@ -18,20 +19,26 @@ from . import bitvec, cc4, codes
 from .bitvec import BitWord
 from .rng import Lcg64
 
-# enumeration guards: grids beyond these are rejected, not attempted
-MAX_METRIC_LEN = 8
-MAX_GRAY_WIDTH = 20
-MAX_FIXED_LENGTH = 64
-MAX_PATTERN_WIDTH = 12
-MAX_REPETITION = 5
-MAX_GEN_VALUE = 16
-MAX_RADIUS = MAX_PATTERN_WIDTH  # a larger ball already covers every word
-MAX_TRAINING_SETS = 100
-MAX_SAMPLES = 32
-MAX_OUTPUT_BITS = 8
-MAX_BIAS_VECTORS = 1000
+# grid key: its CheckGrid field, least and most value, and name in a guard
+# message. Grids beyond these enumeration guards are rejected, not attempted,
+# and the guards run in this order.
+_BOUNDS = {
+    "metric": ("metric_max_len", 1, 8, "metric length"),
+    "gray": ("gray_width", 1, 20, "gray width"),
+    "lengths": ("fixed_lengths", 1, 64, "fixed lengths"),
+    "ks": ("gen_ks", 1, 5, "repetition k"),
+    "n": ("gen_max_value", 1, 16, "generalized max value"),
+    "widths": ("widths", 1, 12, "pattern widths"),
+    # as widths: a larger ball already covers every word
+    "radii": ("radii", 0, 12, "radii"),
+    "sets": ("training_sets", 1, 100, "training_sets"),
+    "samples": ("max_samples", 1, 32, "max_samples"),
+    "outbits": ("output_bits", 1, 8, "output_bits"),
+    "bias": ("bias_vectors", 1, 1000, "bias_vectors"),
+    "seed": ("seed", None, None, None),  # any int
+}
 # most values of a 'lo-hi' range (checked before it is built) or an 'a/b/c' list
-MAX_RANGE_LEN = MAX_FIXED_LENGTH
+MAX_RANGE_LEN = 64
 
 # seed offsets per property family that draws random data
 OFFSET_RADIUS_LAW = 0
@@ -62,30 +69,18 @@ class CheckGrid:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("fixed_lengths", "gen_ks", "widths", "radii"):
-            _guard(len(getattr(self, name)) > 0, f"{name} must not be empty")
-        _guard(1 <= self.metric_max_len <= MAX_METRIC_LEN,
-               f"metric length must be 1..{MAX_METRIC_LEN}")
-        _guard(1 <= self.gray_width <= MAX_GRAY_WIDTH,
-               f"gray width must be 1..{MAX_GRAY_WIDTH}")
-        _guard(all(1 <= l <= MAX_FIXED_LENGTH for l in self.fixed_lengths),
-               f"fixed lengths must be 1..{MAX_FIXED_LENGTH}")
-        _guard(all(1 <= k <= MAX_REPETITION for k in self.gen_ks),
-               f"repetition k must be 1..{MAX_REPETITION}")
-        _guard(1 <= self.gen_max_value <= MAX_GEN_VALUE,
-               f"generalized max value must be 1..{MAX_GEN_VALUE}")
-        _guard(all(1 <= w <= MAX_PATTERN_WIDTH for w in self.widths),
-               f"pattern widths must be 1..{MAX_PATTERN_WIDTH}")
-        _guard(all(0 <= r <= MAX_RADIUS for r in self.radii),
-               f"radii must be 0..{MAX_RADIUS}")
-        _guard(1 <= self.training_sets <= MAX_TRAINING_SETS,
-               f"training_sets must be 1..{MAX_TRAINING_SETS}")
-        _guard(1 <= self.max_samples <= MAX_SAMPLES,
-               f"max_samples must be 1..{MAX_SAMPLES}")
-        _guard(1 <= self.output_bits <= MAX_OUTPUT_BITS,
-               f"output_bits must be 1..{MAX_OUTPUT_BITS}")
-        _guard(1 <= self.bias_vectors <= MAX_BIAS_VECTORS,
-               f"bias_vectors must be 1..{MAX_BIAS_VECTORS}")
+        for attr, *_ in _BOUNDS.values():
+            if _many(attr):
+                _guard(len(getattr(self, attr)) > 0, f"{attr} must not be empty")
+        for attr, lo, hi, label in _BOUNDS.values():
+            if label:
+                values = getattr(self, attr) if _many(attr) else [getattr(self, attr)]
+                _guard(all(lo <= v <= hi for v in values), f"{label} must be {lo}..{hi}")
+
+
+def _many(attr: str) -> bool:
+    """Whether a CheckGrid field takes several values, as its default does."""
+    return isinstance(getattr(CheckGrid, attr), tuple)
 
 
 @dataclass
@@ -98,30 +93,23 @@ class PropertyResult:
     counterexample: str | None = None
     note: str | None = None
 
+    def _values(self, counterexample_sep: str) -> str:
+        """The measured, claimed and counterexample tokens, each after a space."""
+        return "".join(f" {key}{sep}{value}" for key, sep, value in (
+            ("measured", "=", self.measured), ("claimed", "=", self.claimed),
+            ("counterexample", counterexample_sep, self.counterexample),
+        ) if value is not None)
+
     def machine_line(self) -> str:
         params = ",".join(f"{k}={v}" for k, v in self.params.items()) or "-"
-        tokens = ["pass" if self.passed else "fail"]
-        if self.measured is not None:
-            tokens.append(f"measured={self.measured}")
-        if self.claimed is not None:
-            tokens.append(f"claimed={self.claimed}")
-        if self.counterexample is not None:
-            tokens.append(f"counterexample={self.counterexample}")
-        return f"{self.name}\t{params}\t{' '.join(tokens)}"
+        head = "pass" if self.passed else "fail"
+        return f"{self.name}\t{params}\t{head}{self._values('=')}"
 
     def human_line(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in self.params.items())
         head = "ok  " if self.passed else "FAIL"
-        line = f"{head} {self.name}" + (f" [{params}]" if params else "")
-        if self.measured is not None:
-            line += f" measured={self.measured}"
-        if self.claimed is not None:
-            line += f" claimed={self.claimed}"
-        if self.counterexample is not None:
-            line += f" counterexample: {self.counterexample}"
-        if self.note:
-            line += f" ({self.note})"
-        return line
+        line = f"{head} {self.name}" + (f" [{params}]" if params else "") + self._values(": ")
+        return line + (f" ({self.note})" if self.note else "")
 
 
 @dataclass
@@ -143,11 +131,17 @@ class PropertyReport:
 
 
 def _all_words(width: int) -> list[BitWord]:
-    return [bitvec.binary_encode(v, width) for v in range(1 << width)]
+    return [BitWord(v, width) for v in range(1 << width)]
+
+
+def _cell(name: str, params: dict[str, int], counterexamples: Iterable[str]) -> PropertyResult:
+    """A passed cell, or a failed one naming the first counterexample."""
+    first = next(iter(counterexamples), None)
+    return PropertyResult(name, params, first is None, counterexample=first)
 
 
 def check_metric_axioms(length: int) -> PropertyResult:
-    """Symmetry, identity, and triangle inequality over the whole hypercube.
+    """Symmetry, identity, range 0..L and triangle inequality over the hypercube.
 
     The triangle pass runs on bitsets over c: c breaks d(a, c) <= d(a, b) + d(b, c)
     iff it is in shells[a][k] (d(a, c) = k) and in within[b][k - d(a, b) - 1]
@@ -166,19 +160,22 @@ def check_metric_axioms(length: int) -> PropertyResult:
                 return PropertyResult(
                     "metric-identity", {"len": length}, False,
                     counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
-    # k - lo indexes the measured distances lo..hi; lo <= 0 <= hi, as d(a, a) = 0
-    lo, hi = min(map(min, dist)), max(map(max, dist))
-    shells = [[0] * (hi - lo + 1) for _ in words]
+    # an L-bit distance is 0..L, so each word's shells and within sets have L + 1 entries
+    for i, row in enumerate(dist):
+        for j, d in enumerate(row):
+            if not 0 <= d <= length:
+                return PropertyResult("metric-range", {"len": length}, False,
+                                      counterexample=f"a={words[i]},b={words[j]},d={d}")
+    shells = [[0] * (length + 1) for _ in words]
     for shell, row in zip(shells, dist):
         for c, d in enumerate(row):
-            shell[d - lo] |= 1 << c
-    # every c is within reach past hi, where k - d(a, b) - 1 goes when d(a, b) < 0
-    within = [list(accumulate(shell, or_)) + [(1 << count) - 1] * -lo for shell in shells]
+            shell[d] |= 1 << c
+    within = [list(accumulate(shell, or_)) for shell in shells]
     for i, (shell, di) in enumerate(zip(shells, dist)):
         for j, dij in enumerate(di):
-            start = max(dij + 1, 0)  # the first k - lo with a within[j] entry
-            # the shells are disjoint, so the sum of the hits is their union
-            hits = sum(map(and_, shell[start:], within[j][start - dij - 1:]))
+            # k > d(a, b) meets within[b][k - d(a, b) - 1]; the shells are
+            # disjoint, so the sum of the hits is their union
+            hits = sum(map(and_, shell[dij + 1:], within[j]))
             if hits:
                 c = words[(hits & -hits).bit_length() - 1]
                 return PropertyResult("metric-triangle", {"len": length}, False,
@@ -187,24 +184,23 @@ def check_metric_axioms(length: int) -> PropertyResult:
 
 
 def check_gray_adjacency(width: int) -> PropertyResult:
-    for n in range((1 << width) - 1):
-        d = bitvec.hamming_distance(
-            bitvec.gray_encode(n, width), bitvec.gray_encode(n + 1, width))
-        if d != 1:
-            return PropertyResult(
-                "gray-adjacency", {"width": width}, False,
-                counterexample=f"n={n},d={d}")
-    return PropertyResult("gray-adjacency", {"width": width}, True)
+    return _cell("gray-adjacency", {"width": width}, (
+        f"n={n},d={d}" for n in range((1 << width) - 1)
+        if (d := bitvec.hamming_distance(
+            bitvec.gray_encode(n, width), bitvec.gray_encode(n + 1, width))) != 1))
+
+
+def _roundtrip(
+    name: str, params: dict[str, int], top: int, there_and_back: Callable[[int], int]
+) -> PropertyResult:
+    """there_and_back(n) == n for every n in 0..top."""
+    return _cell(name, params, (
+        f"n={n},back={back}" for n in range(top + 1) if (back := there_and_back(n)) != n))
 
 
 def check_gray_roundtrip(width: int) -> PropertyResult:
-    for n in range(1 << width):
-        back = bitvec.gray_decode(bitvec.gray_encode(n, width))
-        if back != n:
-            return PropertyResult(
-                "gray-roundtrip", {"width": width}, False,
-                counterexample=f"n={n},back={back}")
-    return PropertyResult("gray-roundtrip", {"width": width}, True)
+    return _roundtrip("gray-roundtrip", {"width": width}, (1 << width) - 1,
+                      lambda n: bitvec.gray_decode(bitvec.gray_encode(n, width)))
 
 
 def check_binary_nonuniformity() -> PropertyResult:
@@ -213,10 +209,8 @@ def check_binary_nonuniformity() -> PropertyResult:
         bitvec.binary_encode(3, 4), bitvec.binary_encode(4, 4))
     far = bitvec.hamming_distance(
         bitvec.binary_encode(1, 4), bitvec.binary_encode(5, 4))
-    ok = near == 3 and far == 1 and near > far
-    return PropertyResult(
-        "binary-nonuniformity-witness", {"width": 4}, ok,
-        counterexample=None if ok else f"d(3,4)={near},d(1,5)={far}")
+    return _cell("binary-nonuniformity-witness", {"width": 4},
+                 [] if (near, far) == (3, 1) else [f"d(3,4)={near},d(1,5)={far}"])
 
 
 def check_gray_nonuniformity() -> PropertyResult:
@@ -225,80 +219,57 @@ def check_gray_nonuniformity() -> PropertyResult:
         bitvec.gray_encode(3, 4), bitvec.gray_encode(4, 4))
     distant = bitvec.hamming_distance(
         bitvec.gray_encode(1, 4), bitvec.gray_encode(6, 4))
-    ok = adjacent == 1 and distant == 1
-    return PropertyResult(
-        "gray-nonuniformity-witness", {"width": 4}, ok,
-        counterexample=None if ok else f"d(3,4)={adjacent},d(1,6)={distant}")
+    return _cell("gray-nonuniformity-witness", {"width": 4},
+                 [] if (adjacent, distant) == (1, 1) else
+                 [f"d(3,4)={adjacent},d(1,6)={distant}"])
+
+
+def _distance_law(
+    name: str, params: dict[str, int], top: int, encode: Callable[[int], BitWord], k: int
+) -> PropertyResult:
+    """d(encode(x), encode(y)) == k * |x - y| for every pair in 0..top."""
+    return _cell(name, params, (
+        f"x={x},y={y},d={d},want={k * abs(x - y)}"
+        for x in range(top + 1) for wx in [encode(x)] for y in range(top + 1)
+        if (d := bitvec.hamming_distance(wx, encode(y))) != k * abs(x - y)))
 
 
 def check_uniform_distance_law(length: int) -> PropertyResult:
     """d(fixed(x), fixed(y)) == |x - y| for every pair of encodable values."""
-    for x in range(length + 1):
-        wx = codes.encode_fixed(x, length)
-        for y in range(length + 1):
-            d = bitvec.hamming_distance(wx, codes.encode_fixed(y, length))
-            if d != abs(x - y):
-                return PropertyResult(
-                    "uniform-distance-law", {"L": length}, False,
-                    counterexample=f"x={x},y={y},d={d},want={abs(x - y)}")
-    return PropertyResult("uniform-distance-law", {"L": length}, True)
+    return _distance_law("uniform-distance-law", {"L": length}, length,
+                         lambda v: codes.encode_fixed(v, length), 1)
 
 
 def check_weight_monotone(length: int) -> PropertyResult:
     weights = [bitvec.hamming_weight(codes.encode_fixed(n, length))
                for n in range(length + 1)]
-    for n in range(length):
-        if not weights[n + 1] > weights[n]:
-            return PropertyResult(
-                "weight-monotone", {"L": length}, False,
-                counterexample=f"n={n},w={weights[n]},w_next={weights[n + 1]}")
-    return PropertyResult("weight-monotone", {"L": length}, True)
+    return _cell("weight-monotone", {"L": length}, (
+        f"n={n},w={weights[n]},w_next={weights[n + 1]}"
+        for n in range(length) if not weights[n + 1] > weights[n]))
 
 
 def check_roundtrip_basic(max_value: int) -> PropertyResult:
-    for n in range(max_value + 1):
-        back = codes.decode_basic(codes.encode_basic(n))
-        if back != n:
-            return PropertyResult(
-                "roundtrip-basic", {"N": max_value}, False,
-                counterexample=f"n={n},back={back}")
-    return PropertyResult("roundtrip-basic", {"N": max_value}, True)
+    return _roundtrip("roundtrip-basic", {"N": max_value}, max_value,
+                      lambda n: codes.decode_basic(codes.encode_basic(n)))
 
 
 def check_roundtrip_fixed(length: int) -> PropertyResult:
-    for n in range(length + 1):
-        back = codes.decode_fixed(codes.encode_fixed(n, length))
-        if back != n:
-            return PropertyResult(
-                "roundtrip-fixed", {"L": length}, False,
-                counterexample=f"n={n},back={back}")
-    return PropertyResult("roundtrip-fixed", {"L": length}, True)
+    return _roundtrip("roundtrip-fixed", {"L": length}, length,
+                      lambda n: codes.decode_fixed(codes.encode_fixed(n, length)))
 
 
 def check_thermometer_equivalence(length: int) -> PropertyResult:
     """Left-filled transform of one-hot v equals the reversed right-filled code."""
-    for v in range(1, length + 1):
-        left = codes.one_hot_to_thermometer(codes.encode_one_hot(v, length))
-        right = codes.encode_fixed(v, length).reverse()
-        if left != right:
-            return PropertyResult(
-                "thermometer-equivalence", {"L": length}, False,
-                counterexample=f"v={v},transform={left},reversed={right}")
-    return PropertyResult("thermometer-equivalence", {"L": length}, True)
+    return _cell("thermometer-equivalence", {"L": length}, (
+        f"v={v},transform={left},reversed={right}" for v in range(1, length + 1)
+        if (left := codes.one_hot_to_thermometer(codes.encode_one_hot(v, length)))
+        != (right := codes.encode_fixed(v, length).reverse())))
 
 
 def check_generalized_scaling(k: int, max_value: int) -> PropertyResult:
     """d(gen(x), gen(y)) == k * |x - y| for every pair."""
-    for x in range(max_value + 1):
-        wx = codes.encode_generalized(x, k, max_value)
-        for y in range(max_value + 1):
-            d = bitvec.hamming_distance(
-                wx, codes.encode_generalized(y, k, max_value))
-            if d != k * abs(x - y):
-                return PropertyResult(
-                    "generalized-scaling", {"k": k, "N": max_value}, False,
-                    counterexample=f"x={x},y={y},d={d},want={k * abs(x - y)}")
-    return PropertyResult("generalized-scaling", {"k": k, "N": max_value}, True)
+    return _distance_law("generalized-scaling", {"k": k, "N": max_value}, max_value,
+                         lambda v: codes.encode_generalized(v, k, max_value), k)
 
 
 def check_generalized_min_distance(k: int, max_value: int) -> PropertyResult:
@@ -352,6 +323,9 @@ def check_radius_law(
         if got != want:
             x = next(x for x, g, w in zip(inputs, got, want) if g != w)
             fired, wanted = bin(got[x.value])[3:], bin(want[x.value])[3:]
+            if len(fired) != len(wanted):
+                return PropertyResult("radius-law", params, False, counterexample=(
+                    f"set={t},x={x},fired_width={len(fired)},want_width={len(wanted)}"))
             i = next(i for i, (f, w) in enumerate(zip(fired, wanted)) if f != w)
             return PropertyResult("radius-law", params, False, counterexample=(
                 f"set={t},neuron={i},x={x},fired={fired[i]},sum={table[i][x.value]}"))
@@ -401,19 +375,12 @@ def check_bias_rule(
     samples.append(cc4.TrainingSample(BitWord.zeros(width), rng.next_word(1)))
     net = cc4.train(samples, radius)
     rows = cc4.save_network(net).splitlines()[1:1 + len(samples)]
-    for i, sample in enumerate(samples):
-        s = sum(sample.input.bits)
-        bias = int(rows[i].split()[-1])
-        if bias != radius - s + 1:
-            return PropertyResult(
-                "bias-rule", params, False,
-                counterexample=f"sample={i},s={s},bias={bias},want={radius - s + 1}")
-    zero_bias = int(rows[-1].split()[-1])
-    if zero_bias != radius + 1:
-        return PropertyResult(
-            "bias-rule", params, False,
-            counterexample=f"all-zero bias={zero_bias},want={radius + 1}")
-    return PropertyResult("bias-rule", params, True)
+    # the last sample is the all-zero vector, s = 0
+    return _cell("bias-rule", params, (
+        f"sample={i},s={s},bias={bias},want={radius - s + 1}"
+        for i, sample in enumerate(samples)
+        if (bias := int(rows[i].split()[-1]))
+        != radius - (s := sum(sample.input.bits)) + 1))
 
 
 def check_complement_symmetry(
@@ -424,22 +391,22 @@ def check_complement_symmetry(
     params = {"width": width, "r": radius}
     samples = rng.next_training_set(max_samples, width, output_bits)
     lines = cc4.save_network(cc4.train(samples, radius)).splitlines()
-    for i, sample in enumerate(samples):
-        for o in range(output_bits):
-            flipped_bits = list(sample.output.bits)
-            flipped_bits[o] ^= 1
-            flipped = samples.copy()
-            flipped[i] = cc4.TrainingSample(sample.input, BitWord.from_bits(flipped_bits))
-            retrained = cc4.save_network(cc4.train(flipped, radius)).splitlines()
-            expected = lines.copy()
-            row = expected[1 + len(samples) + o].split()
-            row[i] = str(-int(row[i]))
-            expected[1 + len(samples) + o] = " ".join(row)
-            if retrained != expected:
-                return PropertyResult(
-                    "complement-symmetry", params, False,
-                    counterexample=f"sample={i},bit={o}")
-    return PropertyResult("complement-symmetry", params, True)
+
+    def mismatches():
+        for i, sample in enumerate(samples):
+            for o in range(output_bits):
+                flipped_bits = list(sample.output.bits)
+                flipped_bits[o] ^= 1
+                flipped = samples.copy()
+                flipped[i] = cc4.TrainingSample(sample.input, BitWord.from_bits(flipped_bits))
+                retrained = cc4.save_network(cc4.train(flipped, radius)).splitlines()
+                expected = lines.copy()
+                row = expected[1 + len(samples) + o].split()
+                row[i] = str(-int(row[i]))
+                expected[1 + len(samples) + o] = " ".join(row)
+                if retrained != expected:
+                    yield f"sample={i},bit={o}"
+    return _cell("complement-symmetry", params, mismatches())
 
 
 class _CountingSamples(list):
@@ -459,9 +426,8 @@ def check_one_pass(width: int, max_samples: int, output_bits: int,
         rng.next_training_set(max_samples, width, output_bits))
     net = cc4.train(samples, 1)
     ok = samples.iterations == 1 and net.hidden_count == len(samples)
-    return PropertyResult(
-        "one-pass-training", params, ok,
-        counterexample=None if ok else f"iterations={samples.iterations}")
+    return _cell("one-pass-training", params,
+                 [] if ok else [f"iterations={samples.iterations}"])
 
 
 def check_integer_exactness(width: int, rng: Lcg64) -> PropertyResult:
@@ -470,20 +436,13 @@ def check_integer_exactness(width: int, rng: Lcg64) -> PropertyResult:
     params = {"width": width}
     samples = rng.next_training_set(5, width, 2)
     net = cc4.train(samples, 1)
-    weights_ok = all(
+    ok = all(
         w.removeprefix("-").isdigit()
-        for line in cc4.save_network(net).splitlines()[1:] for w in line.split())
-    bits_ok = True
-    for x in _all_words(width):
-        acts = cc4.hidden_activations(net, x)
-        out = cc4.infer(net, x)
-        if not all(type(b) is int and b in (0, 1) for b in list(acts) + list(out)):
-            bits_ok = False
-            break
-    ok = weights_ok and bits_ok
-    return PropertyResult(
-        "integer-exactness", params, ok,
-        counterexample=None if ok else "non-integer value observed")
+        for line in cc4.save_network(net).splitlines()[1:] for w in line.split()
+    ) and all(
+        type(b) is int and b in (0, 1) for x in _all_words(width)
+        for word in (cc4.hidden_activations(net, x), cc4.infer(net, x)) for b in word)
+    return _cell("integer-exactness", params, [] if ok else ["non-integer value observed"])
 
 
 def run_property_checks(grid: CheckGrid) -> PropertyReport:
@@ -538,22 +497,6 @@ QUICK_GRID = CheckGrid(
     metric_max_len=4, gray_width=8, fixed_lengths=(8, 16), gen_ks=(2, 3),
     widths=(4, 6), radii=(0, 1, 2), training_sets=5, bias_vectors=50)
 
-_GRID_KEYS = {
-    "metric": "metric_max_len",
-    "gray": "gray_width",
-    "lengths": "fixed_lengths",
-    "ks": "gen_ks",
-    "n": "gen_max_value",
-    "widths": "widths",
-    "radii": "radii",
-    "sets": "training_sets",
-    "samples": "max_samples",
-    "outbits": "output_bits",
-    "bias": "bias_vectors",
-    "seed": "seed",
-}
-_TUPLE_KEYS = {"fixed_lengths", "gen_ks", "widths", "radii"}
-
 
 def parse_grid(spec: str) -> CheckGrid:
     """Parse a grid spec: 'default', 'quick', or comma-separated key=value.
@@ -571,12 +514,14 @@ def parse_grid(spec: str) -> CheckGrid:
             raise ValueError(f"bad grid item {item!r}, expected key=value")
         key, _, raw = item.partition("=")
         key = key.strip()
-        if key not in _GRID_KEYS:
+        if key not in _BOUNDS:
             raise ValueError(
-                f"unknown grid key {key!r}; known: {', '.join(sorted(_GRID_KEYS))}")
-        attr = _GRID_KEYS[key]
+                f"unknown grid key {key!r}; known: {', '.join(sorted(_BOUNDS))}")
+        attr = _BOUNDS[key][0]
+        if attr in overrides:
+            raise ValueError(f"grid key {key!r} is given twice")
         try:
-            if attr not in _TUPLE_KEYS:
+            if not _many(attr):
                 value = int(raw)
             elif "-" in raw:
                 lo, _, hi = raw.partition("-")
@@ -590,7 +535,7 @@ def parse_grid(spec: str) -> CheckGrid:
             _guard(value.stop - value.start <= MAX_RANGE_LEN,
                    f"{key} range {raw} is longer than {MAX_RANGE_LEN}")
             value = tuple(value)
-        elif attr in _TUPLE_KEYS:
+        elif _many(attr):
             _guard(len(value) <= MAX_RANGE_LEN,
                    f"{key} list has {len(value)} values, more than {MAX_RANGE_LEN}")
             _guard(len(set(value)) == len(value), f"{key} list {raw} repeats a value")

@@ -86,8 +86,16 @@ def _family_key(family: str) -> str:
     return family.replace("-", "_")
 
 
+def _refuse_unused(args) -> None:
+    """Refuse a --length or --k that the code family would ignore."""
+    for flag, families in (("length", ("basic",)), ("k", ("basic", "fixed", "one-hot"))):
+        if args.family in families and getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag} does not apply to the {args.family} family")
+
+
 def _cmd_encode(args) -> int:
     from . import codes
+    _refuse_unused(args)
     family = _family_key(args.family)
     if family in ("fixed", "one_hot") and args.length is None:
         raise ValueError(f"--length is required for the {args.family} family")
@@ -117,6 +125,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     from . import codes
     from .bitvec import BitWord
+    _refuse_unused(args)
     family = _family_key(args.family)
     word = BitWord.from_string(args.word)
     if family == "basic":
@@ -199,7 +208,8 @@ def _cmd_sweep(args) -> int:
         bins = args.bins
     length = args.length if args.length is not None else bins
     width = length * len(ds.feature_names)
-    if args.r_max > width:  # as checks.MAX_RADIUS: a larger ball covers no more words
+    # as the radii bound in checks._BOUNDS: a larger ball covers no more words
+    if args.r_max > width:
         raise ValueError(f"--r-max {args.r_max} exceeds the pattern width {width} "
                          f"(features x length = {len(ds.feature_names)} x {length})")
     q = dataset.QuantizationSpec(bins, length, _family_key(args.family))

@@ -112,6 +112,8 @@ def read_quantizer(words: str, width: int) -> tuple[QuantizationSpec, tuple]:
         ranges = tuple(zip(map(int, bounds[::2]), map(int, bounds[1::2])))
         if words != quantizer_words(q, ranges) or len(ranges) * q.length != width:
             raise ValueError(f"{_quote(words)} is not canonical for {width}-bit patterns")
+        if any(lo > hi for lo, hi in ranges):
+            raise ValueError(f"{_quote(words)} holds a range whose lo exceeds its hi")
     except ValueError as e:
         raise ValueError(f"line 1: bad quantizer: {e}" if words else
                          "the model records no quantizer (model version 1)") from None

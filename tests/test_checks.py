@@ -1,10 +1,12 @@
 import hashlib
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unarynet import bitvec, cc4, checks
+from unarynet import bitvec, cc4, checks, codes
 from unarynet.bitvec import BitWord
 from unarynet.checks import (
     CheckGrid,
@@ -57,10 +59,116 @@ def test_seed_changes_draws_but_not_outcome():
     assert a.passed and b.passed
 
 
-def test_default_grid_machine_output_is_pinned():
-    text = run_property_checks(CheckGrid()).render_machine()
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+def _sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return run_property_checks(CheckGrid())
+
+
+def test_default_grid_machine_output_is_pinned(default_report):
+    assert _sha256(default_report.render_machine()) == (
         "63079766ed844dfeee2c41a15c73a238c2ee77dc9892db4f642e5ebd9fe40cae")
+
+
+def test_default_grid_human_output_is_pinned(default_report):
+    assert _sha256(default_report.render_human()) == (
+        "31e2f6d0894502fc5d83f4418611233f6956b2b0e434cac186ff543b565ea6df")
+
+
+def test_quick_grid_machine_output_is_pinned():
+    assert _sha256(run_property_checks(checks.QUICK_GRID).render_machine()) == (
+        "d947cfc067c83f9a405d7665abe4239b293880ca0284608228a8eeebb4c72d38")
+
+
+def _fail(name, params, counterexample):
+    """The machine and human lines of a cell that failed on one counterexample."""
+    return (f"{name}\t{params}\tfail counterexample={counterexample}",
+            f"FAIL {name} [{params.replace(',', ' ')}] counterexample: {counterexample}")
+
+
+# one codec function at a time, broken on a single value, and the exact
+# lines of every codec cell that fails for it
+_CODEC_FAULTS = {
+    "encode_fixed": (
+        codes, lambda real: lambda n, length: real(4 if n == 3 else n, length), [
+            _fail("uniform-distance-law", "L=8", "x=0,y=3,d=4,want=3"),
+            _fail("weight-monotone", "L=8", "n=3,w=4,w_next=4"),
+            _fail("roundtrip-fixed", "L=8", "n=3,back=4"),
+            _fail("thermometer-equivalence", "L=8",
+                  "v=3,transform=11100000,reversed=11110000"),
+        ]),
+    "decode_fixed": (
+        codes, lambda real: lambda w: real(w) + (real(w) == 2), [
+            _fail("roundtrip-fixed", "L=8", "n=2,back=3"),
+        ]),
+    "gray_encode": (
+        bitvec, lambda real: lambda n, width: real(n ^ (n == 6), width), [
+            _fail("gray-adjacency", "width=4", "n=5,d=2"),
+            _fail("gray-roundtrip", "width=4", "n=6,back=7"),
+            _fail("gray-nonuniformity-witness", "width=4",
+                  "d(3,4)=1,d(1,6)=2"),
+        ]),
+    "gray_decode": (
+        bitvec, lambda real: lambda w: real(w) + (w.value == 6), [
+            _fail("gray-roundtrip", "width=4", "n=4,back=5"),
+        ]),
+    "binary_encode": (
+        bitvec, lambda real: lambda n, width: real(5 if n == 4 else n, width), [
+            _fail("gray-adjacency", "width=4", "n=6,d=0"),
+            _fail("gray-roundtrip", "width=4", "n=7,back=6"),
+            _fail("binary-nonuniformity-witness", "width=4",
+                  "d(3,4)=2,d(1,5)=1"),
+        ]),
+    "decode_generalized": (  # decode_basic is decode_generalized(w, 1)
+        codes, lambda real: lambda w, k: real(w, k) + (real(w, k) == 5), [
+            _fail("roundtrip-basic", "N=8", "n=5,back=6"),
+        ]),
+    "encode_generalized": (  # encode_basic is encode_generalized(n, 1, n)
+        codes, lambda real: lambda n, k, top: real(1 if n == 2 else n, k, top), [
+            _fail("roundtrip-basic", "N=8", "n=2,back=1"),
+            _fail("generalized-scaling", "k=1,N=8", "x=0,y=2,d=1,want=2"),
+            _fail("generalized-scaling", "k=3,N=8", "x=0,y=2,d=3,want=6"),
+            ("generalized-min-distance\tk=3,N=8\tfail measured=0 claimed=2",
+             "FAIL generalized-min-distance [k=3 N=8] measured=0 claimed=2 "
+             "(measured minimum distance 0 differs from claimed k-1=2)"),
+        ]),
+    "one_hot_to_thermometer": (
+        codes, lambda real: lambda w: BitWord(real(w).value ^ (w.value == 4), w.width), [
+            _fail("thermometer-equivalence", "L=8",
+                  "v=6,transform=11111101,reversed=11111100"),
+        ]),
+    "hamming_weight": (
+        bitvec, lambda real: lambda w: 0 if w.value == 7 else real(w), [
+            _fail("weight-monotone", "L=8", "n=2,w=2,w_next=0"),
+        ]),
+    "hamming_distance": (  # d(fixed(3), fixed(0)) only, not d(fixed(0), fixed(3))
+        bitvec, lambda real: lambda a, b: real(a, b) + (a.value == 7 and b.value == 0), [
+            _fail("uniform-distance-law", "L=8", "x=3,y=0,d=4,want=3"),
+        ]),
+    "min_pairwise_distance": (
+        codes, lambda real: lambda words: real(words) - 1, [
+            ("generalized-min-distance\tk=3,N=8\tfail measured=2 claimed=2",
+             "FAIL generalized-min-distance [k=3 N=8] measured=2 claimed=2"),
+        ]),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_CODEC_FAULTS))
+def test_codec_fault_fails_exactly_its_cells(monkeypatch, function):
+    module, breaker, lines = _CODEC_FAULTS[function]
+    monkeypatch.setattr(module, function, breaker(getattr(module, function)))
+    results = [
+        checks.check_gray_adjacency(4), checks.check_gray_roundtrip(4),
+        checks.check_binary_nonuniformity(), checks.check_gray_nonuniformity(),
+        checks.check_uniform_distance_law(8), checks.check_weight_monotone(8),
+        checks.check_roundtrip_basic(8), checks.check_roundtrip_fixed(8),
+        checks.check_thermometer_equivalence(8), checks.check_generalized_scaling(1, 8),
+        checks.check_generalized_scaling(3, 8), checks.check_generalized_min_distance(3, 8),
+    ]
+    assert [(r.machine_line(), r.human_line()) for r in results if not r.passed] == lines
 
 
 def test_min_distance_audit_reports_both_values():
@@ -135,6 +243,14 @@ def test_flipped_fire_bit_caught_by_radius_law(monkeypatch):
         counterexample="set=0,neuron=2,x=1001,fired=1,sum=-1")
 
 
+def test_fire_word_of_the_wrong_width_caught_by_radius_law(monkeypatch):
+    real = cc4.hidden_activations
+    monkeypatch.setattr(cc4, "hidden_activations",
+                        lambda net, x: BitWord(real(net, x).value, real(net, x).width + 1))
+    result = checks.check_radius_law(4, 1, 3, 5, 2, Lcg64(1))
+    assert result.counterexample == "set=0,x=0000,fired_width=4,want_width=3"
+
+
 def test_flipped_first_neuron_caught_in_a_later_set(monkeypatch):
     _flip_fired_bit(monkeypatch, 0b1011001110, 0, from_call=1)
     result = checks.check_radius_law(10, 3, 20, 10, 2, Lcg64(1))
@@ -159,14 +275,14 @@ def _on_pair(pair, delta):
         (3, lambda a, b, d: 0 if {a, b} == {2, 5} else d, "metric-identity",
          "a=010,b=101,d=0"),
         # d(001, 110) = 6, above L = 3
-        (3, _on_pair({1, 6}, 3), "metric-triangle", "a=001,b=000,c=110"),
+        (3, _on_pair({1, 6}, 3), "metric-range", "a=001,b=110,d=6"),
         (8, _on_pair({0x5A, 0xC3}, 3), "metric-triangle",
          "a=01011010,b=00000010,c=11000011"),
         # negative distances
-        (3, lambda a, b, d: -2 if {a, b} == {3, 4} else d, "metric-triangle",
-         "a=000,b=011,c=100"),
-        (8, _on_pair({0x5A, 0xC3}, -5), "metric-triangle",
-         "a=00000000,b=01011010,c=11000011"),
+        (3, lambda a, b, d: -2 if {a, b} == {3, 4} else d, "metric-range",
+         "a=011,b=100,d=-2"),
+        (8, _on_pair({0x5A, 0xC3}, -5), "metric-range",
+         "a=01011010,b=11000011,d=-1"),
     ],
 )
 def test_broken_distance_caught_by_metric_axioms(
@@ -176,8 +292,22 @@ def test_broken_distance_caught_by_metric_axioms(
         name, {"len": length}, False, counterexample=counterexample)
 
 
+def test_distance_far_out_of_range_fails_in_bounded_memory(monkeypatch):
+    monkeypatch.setattr(bitvec, "hamming_distance", lambda a, b: (a.value - b.value) ** 2)
+    tracemalloc.start()
+    try:
+        result = checks.check_metric_axioms(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == PropertyResult(
+        "metric-range", {"len": 8}, False, counterexample="a=00000000,b=00000011,d=9")
+    assert peak < 8 << 20
+
+
 def _metric_axioms_by_triple_loop(length):
-    """Reference: every pair for symmetry and identity, then every triple."""
+    """Reference: every pair for symmetry and identity, then for range, then
+    every triple."""
     words = [BitWord(v, length) for v in range(1 << length)]
     count = len(words)
     dist = [[bitvec.hamming_distance(a, b) for b in words] for a in words]
@@ -193,6 +323,12 @@ def _metric_axioms_by_triple_loop(length):
                     counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
     for i in range(count):
         for j in range(count):
+            if not 0 <= dist[i][j] <= length:
+                return PropertyResult(
+                    "metric-range", {"len": length}, False,
+                    counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
+    for i in range(count):
+        for j in range(count):
             for c in range(count):
                 if dist[i][c] > dist[i][j] + dist[j][c]:
                     return PropertyResult(
@@ -203,11 +339,12 @@ def _metric_axioms_by_triple_loop(length):
 
 @st.composite
 def _distance_tables(draw):
-    """An L <= 3 table of values in -2..L+3; most are symmetric with a zero
-    diagonal, so that the triangle pass is reached."""
+    """An L <= 3 table; most hold values in 1..L and are symmetric with a
+    zero diagonal, so that the triangle pass is reached. The rest hold values
+    in -2..L+3."""
     length = draw(st.integers(1, 3))
     count = 1 << length
-    values = st.integers(-2, length + 3)
+    values = st.integers(1, length) if draw(st.integers(0, 3)) else st.integers(-2, length + 3)
     table = [[draw(values) for _ in range(count)] for _ in range(count)]
     if draw(st.integers(0, 3)):
         for i in range(count):
@@ -290,6 +427,23 @@ class TestParseGrid:
         ]:
             with pytest.raises(ValueError, match=f"guard exceeded: {message}"):
                 parse_grid(spec)
+
+    @pytest.mark.parametrize("spec, key", [
+        ("radii=0,radii=1", "radii"), ("metric=2,sets=3,metric=2", "metric"),
+        ("seed=1, seed=1", "seed"),
+    ])
+    def test_repeated_key_refused(self, spec, key):
+        with pytest.raises(ValueError, match=f"^grid key '{key}' is given twice$"):
+            parse_grid(spec)
+
+    def test_readme_lists_every_bound(self):
+        """The README's list of grid bounds is the bounds table, key for key."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("### check"):readme.index("## Determinism")]
+        listed = {key: (int(lo), int(hi))
+                  for key, lo, hi in re.findall(r"`(\w+)`\s+(\d+)\.\.(\d+)", section)}
+        assert listed == {key: (lo, hi) for key, (_, lo, hi, label)
+                          in checks._BOUNDS.items() if label}
 
     def test_long_range_rejected_before_it_is_built(self):
         tracemalloc.start()

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from unarynet import checks
+from unarynet.bitvec import BitWord
 from unarynet.cc4 import load_network, save_network
 from unarynet.checks import PropertyResult
 from unarynet.cli import SWEEP_DEFAULT_BINS_CAP, main
@@ -85,6 +87,21 @@ class TestEncodeDecode:
     def test_invalid_bits_exit_one(self, capsys):
         code, _, err = run(capsys, "decode", "--family", "basic", "--word", "10a")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, flag, family", [
+        (["encode", "--family", "basic", "--n", "3", "--length", "10"], "length", "basic"),
+        (["encode", "--family", "basic", "--n", "3", "--k", "2"], "k", "basic"),
+        (["encode", "--family", "fixed", "--n", "3", "--length", "4", "--k", "2"],
+         "k", "fixed"),
+        (["encode", "--family", "one-hot", "--n", "3", "--length", "4", "--k", "1"],
+         "k", "one-hot"),
+        (["decode", "--family", "basic", "--word", "110", "--k", "1"], "k", "basic"),
+        (["decode", "--family", "fixed", "--word", "0011", "--k", "2"], "k", "fixed"),
+        (["decode", "--family", "one-hot", "--word", "0100", "--k", "1"], "k", "one-hot"),
+    ])
+    def test_flag_the_family_ignores_exits_one(self, capsys, argv, flag, family):
+        assert run(capsys, *argv) == (
+            1, "", f"error: --{flag} does not apply to the {family} family\n")
 
 
 class TestUsageErrors:
@@ -335,6 +352,7 @@ class TestEvalEncodesAsTrained:
         (" fixed", " one-hot"), (" 4 4 1 4\n", " 5 4 1 4\n"), (" 4 1 4\n", " 4 1\n"),
         (" 1 4\n", " 1 4 1 4\n"), (" 4 4 1 4\n", " 2 2 1 4\n"),
         (" fixed 4 4 1 4\n", "\n"), ("CC4 2", "CC4 1"), ("CC4 2", "CC4 3"),
+        (" 1 4\n", " 4 1\n"),
     ])
     def test_eval_rejects_a_bad_quantizer_on_line_1(self, capsys, tmp_path, old, new):
         model = self.train(capsys, tmp_path, "--bins", "4", "--length", "4")
@@ -434,6 +452,24 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--grid", "bogus=1")
         assert code == 1
         assert "unknown grid key" in err
+
+    def test_repeated_grid_key_exits_one(self, capsys):
+        assert run(capsys, "check", "--grid", "radii=0,radii=1") == (
+            1, "", "error: grid key 'radii' is given twice\n")
+
+    @pytest.mark.parametrize("module, function, breaker", [
+        ("bitvec", "binary_encode",
+         lambda real: lambda n, width: real(5 if n == 4 else n, width)),
+        ("cc4", "hidden_activations",  # one bit wider than h
+         lambda real: lambda net, x: BitWord(real(net, x).value, real(net, x).width + 1)),
+    ])
+    def test_faulty_library_function_fails_cells(self, capsys, monkeypatch,
+                                                 module, function, breaker):
+        module = importlib.import_module(f"unarynet.{module}")
+        monkeypatch.setattr(module, function, breaker(getattr(module, function)))
+        code, out, err = run(capsys, "check", "--grid", "quick")
+        assert (code, err) == (2, "")
+        assert "FAIL" in out and out.endswith(" checks\n")
 
     def test_empty_grid_range_exits_one(self, capsys):
         code, out, err = run(capsys, "check", "--grid", "radii=3-1")
