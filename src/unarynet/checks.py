@@ -134,9 +134,25 @@ def _all_words(width: int) -> list[BitWord]:
     return [BitWord(v, width) for v in range(1 << width)]
 
 
+class _Raised(ValueError):
+    """A ValueError the library raised on one input, as a counterexample naming it."""
+
+
+def _on(label: str, f: Callable, *args):
+    """f(*args); a ValueError it raises becomes a _Raised that names label."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        raise _Raised(f"{label},error={e}") from None
+
+
 def _cell(name: str, params: dict[str, int], counterexamples: Iterable[str]) -> PropertyResult:
-    """A passed cell, or a failed one naming the first counterexample."""
-    first = next(iter(counterexamples), None)
+    """A passed cell, or a failed one naming the first counterexample. A
+    ValueError raised while they are drawn fails the cell, not the run."""
+    try:
+        first = next(iter(counterexamples), None)
+    except ValueError as e:
+        first = str(e) if isinstance(e, _Raised) else f"error={e}"
     return PropertyResult(name, params, first is None, counterexample=first)
 
 
@@ -149,7 +165,17 @@ def check_metric_axioms(length: int) -> PropertyResult:
     """
     words = _all_words(length)
     count = len(words)
-    dist = [[bitvec.hamming_distance(a, b) for b in words] for a in words]
+    try:
+        dist = [[bitvec.hamming_distance(a, b) for b in words] for a in words]
+    except ValueError as e:
+        raised = f"error={e}"  # a fault that raises only once is named without a pair
+
+        def again():  # pair by pair, so that the raise names its pair
+            for a in words:
+                for b in words:
+                    _on(f"a={a},b={b}", bitvec.hamming_distance, a, b)
+            yield raised
+        return _cell("metric-axioms", {"len": length}, again())
     for i in range(count):
         for j in range(i, count):
             if dist[i][j] != dist[j][i]:
@@ -186,8 +212,8 @@ def check_metric_axioms(length: int) -> PropertyResult:
 def check_gray_adjacency(width: int) -> PropertyResult:
     return _cell("gray-adjacency", {"width": width}, (
         f"n={n},d={d}" for n in range((1 << width) - 1)
-        if (d := bitvec.hamming_distance(
-            bitvec.gray_encode(n, width), bitvec.gray_encode(n + 1, width))) != 1))
+        if (d := _on(f"n={n}", lambda: bitvec.hamming_distance(
+            bitvec.gray_encode(n, width), bitvec.gray_encode(n + 1, width)))) != 1))
 
 
 def _roundtrip(
@@ -195,7 +221,8 @@ def _roundtrip(
 ) -> PropertyResult:
     """there_and_back(n) == n for every n in 0..top."""
     return _cell(name, params, (
-        f"n={n},back={back}" for n in range(top + 1) if (back := there_and_back(n)) != n))
+        f"n={n},back={back}" for n in range(top + 1)
+        if (back := _on(f"n={n}", there_and_back, n)) != n))
 
 
 def check_gray_roundtrip(width: int) -> PropertyResult:
@@ -203,25 +230,25 @@ def check_gray_roundtrip(width: int) -> PropertyResult:
                       lambda n: bitvec.gray_decode(bitvec.gray_encode(n, width)))
 
 
+def _witness(name: str, encode: Callable[[int, int], BitWord],
+             want: dict[tuple[int, int], int]) -> PropertyResult:
+    """d(encode(a, 4), encode(b, 4)) == want[a, b] for each pair (a, b)."""
+    def misses():
+        got = {(a, b): _on(f"a={a},b={b}", lambda: bitvec.hamming_distance(
+            encode(a, 4), encode(b, 4))) for a, b in want}
+        if got != want:
+            yield ",".join(f"d({a},{b})={d}" for (a, b), d in got.items())
+    return _cell(name, {"width": 4}, misses())
+
+
 def check_binary_nonuniformity() -> PropertyResult:
     """Close values (3,4) are farther apart in binary than distant ones (1,5)."""
-    near = bitvec.hamming_distance(
-        bitvec.binary_encode(3, 4), bitvec.binary_encode(4, 4))
-    far = bitvec.hamming_distance(
-        bitvec.binary_encode(1, 4), bitvec.binary_encode(5, 4))
-    return _cell("binary-nonuniformity-witness", {"width": 4},
-                 [] if (near, far) == (3, 1) else [f"d(3,4)={near},d(1,5)={far}"])
+    return _witness("binary-nonuniformity-witness", bitvec.binary_encode, {(3, 4): 3, (1, 5): 1})
 
 
 def check_gray_nonuniformity() -> PropertyResult:
     """Gray distance 1 both for adjacent (3,4) and non-adjacent (1,6) values."""
-    adjacent = bitvec.hamming_distance(
-        bitvec.gray_encode(3, 4), bitvec.gray_encode(4, 4))
-    distant = bitvec.hamming_distance(
-        bitvec.gray_encode(1, 4), bitvec.gray_encode(6, 4))
-    return _cell("gray-nonuniformity-witness", {"width": 4},
-                 [] if (adjacent, distant) == (1, 1) else
-                 [f"d(3,4)={adjacent},d(1,6)={distant}"])
+    return _witness("gray-nonuniformity-witness", bitvec.gray_encode, {(3, 4): 1, (1, 6): 1})
 
 
 def _distance_law(
@@ -230,8 +257,9 @@ def _distance_law(
     """d(encode(x), encode(y)) == k * |x - y| for every pair in 0..top."""
     return _cell(name, params, (
         f"x={x},y={y},d={d},want={k * abs(x - y)}"
-        for x in range(top + 1) for wx in [encode(x)] for y in range(top + 1)
-        if (d := bitvec.hamming_distance(wx, encode(y))) != k * abs(x - y)))
+        for x in range(top + 1) for wx in [_on(f"x={x}", encode, x)] for y in range(top + 1)
+        if (d := _on(f"x={x},y={y}", lambda: bitvec.hamming_distance(wx, encode(y))))
+        != k * abs(x - y)))
 
 
 def check_uniform_distance_law(length: int) -> PropertyResult:
@@ -241,11 +269,11 @@ def check_uniform_distance_law(length: int) -> PropertyResult:
 
 
 def check_weight_monotone(length: int) -> PropertyResult:
-    weights = [bitvec.hamming_weight(codes.encode_fixed(n, length))
-               for n in range(length + 1)]
+    def weight(n: int) -> int:
+        return _on(f"n={n}", lambda: bitvec.hamming_weight(codes.encode_fixed(n, length)))
     return _cell("weight-monotone", {"L": length}, (
-        f"n={n},w={weights[n]},w_next={weights[n + 1]}"
-        for n in range(length) if not weights[n + 1] > weights[n]))
+        f"n={n},w={w},w_next={w_next}"
+        for n in range(length) if not (w := weight(n)) < (w_next := weight(n + 1))))
 
 
 def check_roundtrip_basic(max_value: int) -> PropertyResult:
@@ -262,8 +290,9 @@ def check_thermometer_equivalence(length: int) -> PropertyResult:
     """Left-filled transform of one-hot v equals the reversed right-filled code."""
     return _cell("thermometer-equivalence", {"L": length}, (
         f"v={v},transform={left},reversed={right}" for v in range(1, length + 1)
-        if (left := codes.one_hot_to_thermometer(codes.encode_one_hot(v, length)))
-        != (right := codes.encode_fixed(v, length).reverse())))
+        for left, right in [_on(f"v={v}", lambda: (
+            codes.one_hot_to_thermometer(codes.encode_one_hot(v, length)),
+            codes.encode_fixed(v, length).reverse()))] if left != right))
 
 
 def check_generalized_scaling(k: int, max_value: int) -> PropertyResult:
@@ -278,15 +307,18 @@ def check_generalized_min_distance(k: int, max_value: int) -> PropertyResult:
     The measured value is compared against the claimed k - 1; adjacent values
     differ in exactly k positions, so the expected measurement is k.
     """
-    measured = codes.min_pairwise_distance(
-        [codes.encode_generalized(n, k, max_value) for n in range(max_value + 1)])
+    params = {"k": k, "N": max_value}
+    try:
+        measured = codes.min_pairwise_distance(
+            [codes.encode_generalized(n, k, max_value) for n in range(max_value + 1)])
+    except ValueError as e:
+        return _cell("generalized-min-distance", params, [f"error={e}"])
     claimed = k - 1
     note = None
     if measured != claimed:
         note = f"measured minimum distance {measured} differs from claimed k-1={claimed}"
-    return PropertyResult(
-        "generalized-min-distance", {"k": k, "N": max_value},
-        passed=measured == k, measured=measured, claimed=claimed, note=note)
+    return PropertyResult("generalized-min-distance", params, passed=measured == k,
+                          measured=measured, claimed=claimed, note=note)
 
 
 def _weighted_rows(
@@ -306,30 +338,30 @@ def check_radius_law(
     output_bits: int, rng: Lcg64,
 ) -> PropertyResult:
     """Hidden neuron i fires on x iff its weighted sum on x is positive."""
-    params = {"width": width, "r": radius, "sets": sets}
     inputs = _all_words(width)
-    for t in range(sets):
-        samples = rng.next_training_set(max_samples, width, output_bits)
-        net = cc4.train(samples, radius)
-        table = []  # table[i][x.value]: neuron i's sum on every x, a weight at a time
-        for weights, bias in _weighted_rows(samples, radius):
-            table.append([bias])
-            for weight in reversed(weights):  # the lowest bit first
-                table[-1] += [s + weight for s in table[-1]]
-        want = [1] * len(inputs)  # each x's fire flags, behind a 1 that fixes the width
-        for sums in table:
-            want = [w << 1 | (s > 0) for w, s in zip(want, sums)]
-        got = [(f := cc4.hidden_activations(net, x)).value | 1 << f.width for x in inputs]
-        if got != want:
-            x = next(x for x, g, w in zip(inputs, got, want) if g != w)
-            fired, wanted = bin(got[x.value])[3:], bin(want[x.value])[3:]
-            if len(fired) != len(wanted):
-                return PropertyResult("radius-law", params, False, counterexample=(
-                    f"set={t},x={x},fired_width={len(fired)},want_width={len(wanted)}"))
-            i = next(i for i, (f, w) in enumerate(zip(fired, wanted)) if f != w)
-            return PropertyResult("radius-law", params, False, counterexample=(
-                f"set={t},neuron={i},x={x},fired={fired[i]},sum={table[i][x.value]}"))
-    return PropertyResult("radius-law", params, True)
+
+    def misses():
+        for t in range(sets):
+            samples = rng.next_training_set(max_samples, width, output_bits)
+            net = cc4.train(samples, radius)
+            table = []  # table[i][x.value]: neuron i's sum on every x, a weight at a time
+            for weights, bias in _weighted_rows(samples, radius):
+                table.append([bias])
+                for weight in reversed(weights):  # the lowest bit first
+                    table[-1] += [s + weight for s in table[-1]]
+            want = [1] * len(inputs)  # each x's fire flags, behind a 1 that fixes the width
+            for sums in table:
+                want = [w << 1 | (s > 0) for w, s in zip(want, sums)]
+            got = [(f := cc4.hidden_activations(net, x)).value | 1 << f.width for x in inputs]
+            if got != want:
+                x = next(x for x, g, w in zip(inputs, got, want) if g != w)
+                fired, wanted = bin(got[x.value])[3:], bin(want[x.value])[3:]
+                if len(fired) != len(wanted):
+                    yield f"set={t},x={x},fired_width={len(fired)},want_width={len(wanted)}"
+                    continue
+                i = next(i for i, (f, w) in enumerate(zip(fired, wanted)) if f != w)
+                yield f"set={t},neuron={i},x={x},fired={fired[i]},sum={table[i][x.value]}"
+    return _cell("radius-law", {"width": width, "r": radius, "sets": sets}, misses())
 
 
 def check_training_reproduction(
@@ -343,26 +375,23 @@ def check_training_reproduction(
     overlapping regions resolve to 0 by the strict step rule, so the expected
     bit is vote > 0, not the sample's own bit.
     """
-    params = {"width": width, "r": radius, "sets": sets}
-    for t in range(sets):
-        samples = rng.next_training_set(max_samples, width, output_bits)
-        net = cc4.train(samples, radius)
-        rows = _weighted_rows(samples, radius)
-        for i, sample in enumerate(samples):
-            # bias plus the weights at the input's 1 bits, one sum per row
-            sums = [bias + sum(compress(weights, sample.input.bits)) for weights, bias in rows]
-            fired = [s for s, total in zip(samples, sums) if total > 0]
-            expected_bits = []
-            for o in range(output_bits):
-                vote = sum(1 if s.output[o] else -1 for s in fired)
-                expected_bits.append(1 if vote > 0 else 0)
-            got = cc4.infer(net, sample.input)
-            if got != BitWord.from_bits(expected_bits):
-                return PropertyResult(
-                    "training-reproduction", params, False,
-                    counterexample=f"set={t},sample={i},got={got},"
-                                   f"want={''.join(map(str, expected_bits))}")
-    return PropertyResult("training-reproduction", params, True)
+    def misses():
+        for t in range(sets):
+            samples = rng.next_training_set(max_samples, width, output_bits)
+            net = cc4.train(samples, radius)
+            rows = _weighted_rows(samples, radius)
+            for i, sample in enumerate(samples):
+                # bias plus the weights at the input's 1 bits, one sum per row
+                sums = [bias + sum(compress(weights, sample.input.bits)) for weights, bias in rows]
+                fired = [s for s, total in zip(samples, sums) if total > 0]
+                expected_bits = []
+                for o in range(output_bits):
+                    vote = sum(1 if s.output[o] else -1 for s in fired)
+                    expected_bits.append(1 if vote > 0 else 0)
+                got = cc4.infer(net, sample.input)
+                if got != BitWord.from_bits(expected_bits):
+                    yield f"set={t},sample={i},got={got},want={''.join(map(str, expected_bits))}"
+    return _cell("training-reproduction", {"width": width, "r": radius, "sets": sets}, misses())
 
 
 def check_bias_rule(
@@ -373,14 +402,13 @@ def check_bias_rule(
     samples = [cc4.TrainingSample(rng.next_word(width), rng.next_word(1))
                for _ in range(count)]
     samples.append(cc4.TrainingSample(BitWord.zeros(width), rng.next_word(1)))
-    net = cc4.train(samples, radius)
-    rows = cc4.save_network(net).splitlines()[1:1 + len(samples)]
-    # the last sample is the all-zero vector, s = 0
-    return _cell("bias-rule", params, (
-        f"sample={i},s={s},bias={bias},want={radius - s + 1}"
-        for i, sample in enumerate(samples)
-        if (bias := int(rows[i].split()[-1]))
-        != radius - (s := sum(sample.input.bits)) + 1))
+
+    def misses():
+        rows = cc4.save_network(cc4.train(samples, radius)).splitlines()[1:]
+        for i, sample in enumerate(samples):  # the last is the all-zero vector, s = 0
+            if (bias := int(rows[i].split()[-1])) != radius - (s := sum(sample.input.bits)) + 1:
+                yield f"sample={i},s={s},bias={bias},want={radius - s + 1}"
+    return _cell("bias-rule", params, misses())
 
 
 def check_complement_symmetry(
@@ -390,9 +418,9 @@ def check_complement_symmetry(
     output bit o complemented."""
     params = {"width": width, "r": radius}
     samples = rng.next_training_set(max_samples, width, output_bits)
-    lines = cc4.save_network(cc4.train(samples, radius)).splitlines()
 
     def mismatches():
+        lines = cc4.save_network(cc4.train(samples, radius)).splitlines()
         for i, sample in enumerate(samples):
             for o in range(output_bits):
                 flipped_bits = list(sample.output.bits)
@@ -424,10 +452,12 @@ def check_one_pass(width: int, max_samples: int, output_bits: int,
     params = {"width": width, "samples": max_samples}
     samples = _CountingSamples(
         rng.next_training_set(max_samples, width, output_bits))
-    net = cc4.train(samples, 1)
-    ok = samples.iterations == 1 and net.hidden_count == len(samples)
-    return _cell("one-pass-training", params,
-                 [] if ok else [f"iterations={samples.iterations}"])
+
+    def misses():
+        net = cc4.train(samples, 1)
+        if samples.iterations != 1 or net.hidden_count != len(samples):
+            yield f"iterations={samples.iterations}"
+    return _cell("one-pass-training", params, misses())
 
 
 def check_integer_exactness(width: int, rng: Lcg64) -> PropertyResult:
@@ -435,14 +465,17 @@ def check_integer_exactness(width: int, rng: Lcg64) -> PropertyResult:
     over the full input space."""
     params = {"width": width}
     samples = rng.next_training_set(5, width, 2)
-    net = cc4.train(samples, 1)
-    ok = all(
-        w.removeprefix("-").isdigit()
-        for line in cc4.save_network(net).splitlines()[1:] for w in line.split()
-    ) and all(
-        type(b) is int and b in (0, 1) for x in _all_words(width)
-        for word in (cc4.hidden_activations(net, x), cc4.infer(net, x)) for b in word)
-    return _cell("integer-exactness", params, [] if ok else ["non-integer value observed"])
+
+    def misses():
+        net = cc4.train(samples, 1)
+        if not all(
+            w.removeprefix("-").isdigit()
+            for line in cc4.save_network(net).splitlines()[1:] for w in line.split()
+        ) or not all(
+            type(b) is int and b in (0, 1) for x in _all_words(width)
+            for word in (cc4.hidden_activations(net, x), cc4.infer(net, x)) for b in word):
+            yield "non-integer value observed"
+    return _cell("integer-exactness", params, misses())
 
 
 def run_property_checks(grid: CheckGrid) -> PropertyReport:

@@ -9,9 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-# sweep's default bins is the widest feature range; above this it refuses
-SWEEP_DEFAULT_BINS_CAP = 1024
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -64,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=int, required=True)
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--bins", type=int,
-                   help="default: widest feature range in the data, "
-                        f"if it holds at most {SWEEP_DEFAULT_BINS_CAP} values")
+                   help="default: the value count of the widest feature range in "
+                        "the data, if it is at most the length bound")
     p.add_argument("--length", type=int, help="default: same as bins")
     p.add_argument("--family", choices=["fixed", "one-hot"], default="fixed")
     p.add_argument("--holdout-every", type=int, metavar="N",
@@ -86,28 +83,24 @@ def _family_key(family: str) -> str:
     return family.replace("-", "_")
 
 
-def _refuse_unused(args) -> None:
-    """Refuse a --length or --k that the code family would ignore."""
+def _check_flags(args) -> None:
+    """Refuse a --length or --k that the code family would ignore, or needs and lacks."""
     for flag, families in (("length", ("basic",)), ("k", ("basic", "fixed", "one-hot"))):
         if args.family in families and getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to the {args.family} family")
+    for flag, families in (("length", ("fixed", "one-hot")), ("k", ("generalized",))):
+        if args.family in families and getattr(args, flag, 0) is None:  # decode has no --length
+            raise ValueError(f"--{flag} is required for the {args.family} family")
 
 
 def _cmd_encode(args) -> int:
     from . import codes
-    _refuse_unused(args)
-    family = _family_key(args.family)
-    if family in ("fixed", "one_hot") and args.length is None:
-        raise ValueError(f"--length is required for the {args.family} family")
-    if family == "basic":
+    _check_flags(args)
+    if args.family == "basic":
         word = codes.encode_basic(args.n)
-    elif family == "fixed":
-        word = codes.encode_fixed(args.n, args.length)
-    elif family == "one_hot":
-        word = codes.encode_one_hot(args.n, args.length)
+    elif args.family != "generalized":
+        word = getattr(codes, f"encode_{_family_key(args.family)}")(args.n, args.length)
     else:
-        if args.k is None:
-            raise ValueError("--k is required for the generalized family")
         if args.k < 1:
             raise ValueError("k must be >= 1")
         if args.length is not None:
@@ -125,20 +118,10 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     from . import codes
     from .bitvec import BitWord
-    _refuse_unused(args)
-    family = _family_key(args.family)
+    _check_flags(args)
     word = BitWord.from_string(args.word)
-    if family == "basic":
-        value = codes.decode_basic(word)
-    elif family == "fixed":
-        value = codes.decode_fixed(word)
-    elif family == "one_hot":
-        value = codes.decode_one_hot(word)
-    else:
-        if args.k is None:
-            raise ValueError("--k is required for the generalized family")
-        value = codes.decode_generalized(word, args.k)
-    print(value)
+    decode = getattr(codes, f"decode_{_family_key(args.family)}")
+    print(decode(word, args.k) if args.family == "generalized" else decode(word))
     return 0
 
 
@@ -167,7 +150,11 @@ def _load_model(path: str):
     from . import cc4
     # a non-ASCII byte or a bare \r goes on to load_network, whose error names its line
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-        return cc4.load_network(fh.read())
+        text = fh.read()
+    try:
+        return cc4.load_network(text)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _cmd_predict(args) -> int:
@@ -183,7 +170,10 @@ def _cmd_eval(args) -> int:
     from . import dataset
     net = _load_model(args.model)
     ds = dataset.load_dataset(args.data)  # before the quantizer: a CSV fault names its line
-    q, ranges = dataset.read_quantizer(net.quantizer, net.pattern_width)
+    try:
+        q, ranges = dataset.read_quantizer(net.quantizer, net.pattern_width)
+    except ValueError as e:
+        raise ValueError(f"{args.model}: {e}") from None
     samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q, clamp=args.clamp)
     report = dataset.evaluate(net, samples)
     for line in report.lines():
@@ -195,15 +185,17 @@ def _cmd_sweep(args) -> int:
     from . import dataset
     if args.r_min < 0 or args.r_max < args.r_min:
         raise ValueError(f"bad radius range {args.r_min}..{args.r_max}")
+    if args.holdout_every is not None and args.holdout_every < 2:
+        raise ValueError("--holdout-every must be >= 2")
     ds = dataset.load_dataset(args.data)
     if args.bins is None:
         (lo, hi), name = max(zip(ds.feature_ranges, ds.feature_names),
                              key=lambda pair: pair[0][1] - pair[0][0])
         bins = hi - lo + 1
-        if bins > SWEEP_DEFAULT_BINS_CAP:
+        if bins > dataset.MAX_LENGTH:
             raise ValueError(
                 f"feature {name!r} ranges over {lo}..{hi}: {bins} values, more than "
-                f"the {SWEEP_DEFAULT_BINS_CAP} that --bins defaults to at most; pass --bins")
+                f"the {dataset.MAX_LENGTH} that --bins defaults to at most; pass --bins")
     else:
         bins = args.bins
     length = args.length if args.length is not None else bins
@@ -216,15 +208,13 @@ def _cmd_sweep(args) -> int:
     samples = dataset.quantize_encode(ds, q)
     eval_samples = None
     if args.holdout_every is not None:
-        if args.holdout_every < 2:
-            raise ValueError("--holdout-every must be >= 2")
         eval_samples = samples[::args.holdout_every]
         samples = [s for i, s in enumerate(samples) if i % args.holdout_every]
         if not samples or not eval_samples:
             raise ValueError("holdout split left an empty set")
-    rows = dataset.sweep_radius(
+    reports = dataset.sweep_radius(
         samples, list(range(args.r_min, args.r_max + 1)), eval_samples)
-    sys.stdout.write(dataset.sweep_table(rows))
+    sys.stdout.write(dataset.sweep_table(reports, width))
     return 0
 
 

@@ -15,6 +15,7 @@ from .cc4 import CC4Network, TrainingSample, _quote, infer, train
 from .codes import encode_fixed, encode_one_hot
 
 QUANT_FAMILIES = ("fixed", "one_hot")
+MAX_LENGTH = 1024  # most bits in one feature's segment, and so most bins
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class QuantizationSpec:
     """Per-feature binning and encoding parameters.
 
     Every feature is linearly binned into `bins` buckets and encoded into a
-    segment of `length` bits; segments are concatenated in column order.
+    segment of `length <= MAX_LENGTH` bits; segments are concatenated in column order.
     """
 
     bins: int
@@ -45,6 +46,8 @@ class QuantizationSpec:
             raise ValueError("bins must be >= 1")
         if self.length < self.bins:
             raise ValueError(f"length {self.length} < bins {self.bins}")
+        if self.length > MAX_LENGTH:
+            raise ValueError(f"length {self.length} > {MAX_LENGTH}, the most a segment holds")
         if self.family not in QUANT_FAMILIES:
             raise ValueError(f"unknown quantization family {self.family!r}")
 
@@ -223,51 +226,23 @@ def hamming_ball_volume(width: int, radius: int) -> int:
     return sum(math.comb(width, d) for d in range(min(radius, width) + 1))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    radius: int
-    accuracy: float
-    exact_matches: int
-    total: int
-    no_decision: int
-    ball_volume: int
+def sweep_radius(samples: list[TrainingSample], radii: list[int],
+                 eval_samples: list[TrainingSample] | None = None) -> list[tuple[int, EvalReport]]:
+    """(r, evaluate(train(samples, r), target)) for each radius r.
 
-
-def sweep_radius(
-    samples: list[TrainingSample],
-    radii: list[int],
-    eval_samples: list[TrainingSample] | None = None,
-) -> list[SweepRow]:
-    """Train one network per radius and tabulate accuracy and conflicts.
-
-    Evaluates on eval_samples when given (a held-out split, which must not
-    be empty), otherwise on the training samples themselves.
+    The target is eval_samples when given (a held-out split, which must not
+    be empty), otherwise the training samples themselves.
     """
     if not radii:
         raise ValueError("empty radius range")
     target = samples if eval_samples is None else eval_samples
-    rows = []
-    for r in radii:
-        net = train(samples, r)
-        rep = evaluate(net, target)
-        rows.append(
-            SweepRow(
-                radius=r,
-                accuracy=rep.accuracy,
-                exact_matches=rep.exact_matches,
-                total=rep.total,
-                no_decision=rep.no_decision,
-                ball_volume=hamming_ball_volume(net.pattern_width, r),
-            )
-        )
-    return rows
+    return [(r, evaluate(train(samples, r), target)) for r in radii]
 
 
-def sweep_table(rows: list[SweepRow]) -> str:
+def sweep_table(reports: list[tuple[int, EvalReport]], width: int) -> str:
+    """One row per (radius, report), with the ball volume at that radius in width bits."""
     lines = ["r\taccuracy\texact\tno_decision\tball_volume"]
-    for row in rows:
-        lines.append(
-            f"{row.radius}\t{row.accuracy:.4f}\t{row.exact_matches}/{row.total}"
-            f"\t{row.no_decision}\t{row.ball_volume}"
-        )
+    for r, rep in reports:
+        lines.append(f"{r}\t{rep.accuracy:.4f}\t{rep.exact_matches}/{rep.total}"
+                     f"\t{rep.no_decision}\t{hamming_ball_volume(width, r)}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import importlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from unarynet import checks
 from unarynet.bitvec import BitWord
 from unarynet.cc4 import load_network, save_network
 from unarynet.checks import PropertyResult
-from unarynet.cli import SWEEP_DEFAULT_BINS_CAP, main
+from unarynet.cli import main
+from unarynet.dataset import MAX_LENGTH
+from unarynet.rng import Lcg64
 
 ROOT = Path(__file__).resolve().parent.parent
 ANGLES = str(ROOT / "data" / "angles.csv")
@@ -103,6 +106,14 @@ class TestEncodeDecode:
         assert run(capsys, *argv) == (
             1, "", f"error: --{flag} does not apply to the {family} family\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--family", "generalized", "--n", "2"],
+        ["decode", "--family", "generalized", "--word", "110"],
+    ], ids=["encode", "decode"])
+    def test_generalized_needs_k(self, capsys, argv):
+        assert run(capsys, *argv) == (
+            1, "", "error: --k is required for the generalized family\n")
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -172,7 +183,7 @@ class TestTrainPredictEval:
                              "--input", "0000")
         assert code == 1
         assert out == ""
-        assert "hidden row 1 (line 2): bias 7" in err
+        assert err.startswith(f"error: {model}: hidden row 1 (line 2): bias 7 ")
 
     def test_predict_reads_crlf_model(self, capsys, tmp_path):
         model = tmp_path / "m.cc4"
@@ -227,7 +238,7 @@ class TestTrainPredictEval:
         assert save_network(load_network(golden.read_text())) == golden.read_text()
         code, out, err = run(capsys, "eval", "--model", str(golden), "--data", ANGLES)
         assert (code, out) == (1, "")
-        assert err == "error: the model records no quantizer (model version 1)\n"
+        assert err == f"error: {golden}: the model records no quantizer (model version 1)\n"
 
     def test_train_header_records_each_feature_range(self, capsys, tmp_path):
         model, data = tmp_path / "m.cc4", tmp_path / "d.csv"
@@ -296,6 +307,42 @@ class TestTrainPredictEval:
         assert not (tmp_path / "m").exists()
 
 
+class TestLengthBound:
+    """A segment holds at most MAX_LENGTH bits, so an explicit --bins or
+    --length cannot make encoding run without end."""
+
+    BOUND = f"length 100000000 > {MAX_LENGTH}, the most a segment holds"
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--radius", "0", "--bins", "100000000", "--length", "100000000",
+         "--out", "{out}"],
+        ["sweep", "--r-min", "0", "--r-max", "1", "--bins", "100000000"],
+        ["sweep", "--r-min", "0", "--r-max", "1", "--bins", "2", "--length", "100000000"],
+    ], ids=["train", "sweep-bins", "sweep-length"])
+    def test_wide_segment_is_refused_at_once(self, tmp_path, argv):
+        data, out = tmp_path / "wide.csv", tmp_path / "m.cc4"
+        data.write_text("a,label\n0,0\n100000000,1\n", encoding="ascii")
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "unarynet.cli", argv[0], "--data", str(data),
+             *(a.format(out=out) for a in argv[1:])],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {self.BOUND}\n")
+        assert not out.exists()
+
+    def test_model_header_length_is_bounded(self, capsys, tmp_path):
+        model = tmp_path / "m.cc4"
+        run(capsys, "train", "--data", ANGLES, "--radius", "0", "--bins", "4",
+            "--length", "4", "--out", str(model))
+        model.write_text(model.read_text().replace(" fixed 4 4 ", " fixed 4 100000000 ", 1))
+        assert run(capsys, "eval", "--model", str(model), "--data", ANGLES) == (
+            1, "", f"error: {model}: line 1: bad quantizer: {self.BOUND}\n")
+
+
 class TestEvalEncodesAsTrained:
     """eval bins and codes its rows with the quantizer the model header records."""
 
@@ -361,10 +408,62 @@ class TestEvalEncodesAsTrained:
         Path(model).write_text(text.replace(old, new, 1))
         code, out, err = run(capsys, "eval", "--model", model, "--data", ANGLES)
         assert (code, out) == (1, "")
-        assert err.startswith("error: line 1: ") and "Traceback" not in err
+        assert err.startswith(f"error: {model}: line 1: ") and "Traceback" not in err
+
+
+SWEEP_HEAD = "r\taccuracy\texact\tno_decision\tball_volume\n"
+
+
+def small_csv(path):
+    """30 rows of two features drawn from the in-repo LCG, three classes."""
+    rng = Lcg64(7)
+    rows = []
+    for _ in range(30):
+        a, b = ((rng.next_u64() >> 32) % n for n in (8, 6))
+        rows.append(f"{a},{b},{(a >= 4) + (b >= 3)}\n")
+    path.write_text("a,b,label\n" + "".join(rows), encoding="ascii")
+    return str(path)
 
 
 class TestSweep:
+    @pytest.mark.parametrize("flags, table", [
+        ([], "0\t1.0000\t4/4\t0\t1\n1\t0.0000\t0/4\t4\t5\n2\t0.0000\t0/4\t4\t11\n"
+             "3\t0.0000\t0/4\t4\t15\n4\t0.0000\t0/4\t4\t16\n"),
+        (["--holdout-every", "2"],
+         "0\t0.0000\t0/2\t2\t1\n1\t0.0000\t0/2\t1\t5\n2\t0.0000\t0/2\t1\t11\n"
+         "3\t0.0000\t0/2\t2\t15\n4\t0.0000\t0/2\t2\t16\n"),
+    ], ids=["training-set", "holdout-2"])
+    def test_angles_table_is_pinned(self, capsys, flags, table):
+        assert run(capsys, "sweep", "--data", ANGLES, "--r-min", "0", "--r-max", "4",
+                   *flags) == (0, SWEEP_HEAD + table, "")
+
+    @pytest.mark.parametrize("family, no_decision, exact", [
+        ("fixed", [1, 0, 0, 1, 0, 0, 0], [9, 7, 5, 4, 5, 5, 5]),
+        ("one-hot", [1, 1, 2, 2, 0, 0, 0], [9, 9, 4, 4, 5, 5, 5]),
+    ])
+    def test_family_table_is_pinned(self, capsys, tmp_path, family, no_decision, exact):
+        # --length 6 > --bins 4: two 6-bit segments, so r runs to the width 12
+        data = small_csv(tmp_path / "small.csv")
+        volumes = [1, 13, 79, 299, 794, 1586, 2510]
+        table = "".join(f"{r}\t{e / 10:.4f}\t{e}/10\t{nd}\t{v}\n" for r, (e, nd, v)
+                        in enumerate(zip(exact, no_decision, volumes)))
+        assert run(capsys, "sweep", "--data", data, "--r-min", "0", "--r-max", "6",
+                   "--bins", "4", "--length", "6", "--family", family,
+                   "--holdout-every", "3") == (0, SWEEP_HEAD + table, "")
+
+    @pytest.mark.parametrize("data", [ANGLES, "no-such.csv"], ids=["angles", "before-reading"])
+    def test_holdout_every_must_be_two_or_more(self, capsys, data):
+        assert run(capsys, "sweep", "--data", data, "--r-min", "0", "--r-max", "0",
+                   "--holdout-every", "1") == (
+            1, "", "error: --holdout-every must be >= 2\n")
+
+    def test_holdout_of_one_row_leaves_no_training_set(self, capsys, tmp_path):
+        data = tmp_path / "one.csv"
+        data.write_text("a,label\n3,0\n", encoding="ascii")
+        assert run(capsys, "sweep", "--data", str(data), "--r-min", "0", "--r-max", "0",
+                   "--holdout-every", "2") == (
+            1, "", "error: holdout split left an empty set\n")
+
     def test_sweep_table(self, capsys):
         code, out, _ = run(capsys, "sweep", "--data", ANGLES,
                            "--r-min", "0", "--r-max", "3")
@@ -409,11 +508,11 @@ class TestSweep:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (
             "error: feature 'a' ranges over 0..100000000: 100000001 values, more than "
-            f"the {SWEEP_DEFAULT_BINS_CAP} that --bins defaults to at most; pass --bins\n")
+            f"the {MAX_LENGTH} that --bins defaults to at most; pass --bins\n")
 
     def test_default_bins_at_the_cap_runs(self, capsys, tmp_path):
         data = tmp_path / "cap.csv"
-        top = SWEEP_DEFAULT_BINS_CAP - 1
+        top = MAX_LENGTH - 1
         data.write_text(f"a,b,label\n0,5,0\n{top},7,1\n", encoding="ascii")
         code, out, _ = run(capsys, "sweep", "--data", str(data), "--r-min", "0", "--r-max", "0")
         assert code == 0 and out.splitlines()[1] == "0\t1.0000\t2/2\t0\t1"
@@ -429,6 +528,57 @@ class TestSweep:
                            "--r-min", "0", "--r-max", "0",
                            "--holdout-every", "2")
         assert code == 0
+
+
+def _raising(error):
+    def raise_it(*args):
+        raise error
+    return raise_it
+
+
+# a codec fault that makes the library raise, and the quick grid's FAIL lines under it
+CODEC_RAISES = {
+    "encode_fixed-sets-a-high-bit": (
+        "codes", "encode_fixed",  # 5 becomes 10..011111, which decode_fixed refuses
+        lambda real: lambda n, length: BitWord(
+            real(n, length).value | (n == 5) << (length - 1), length), [
+            f"{cell} [L={L}] counterexample: {counterexample}"
+            for L, left, right in [(8, "11111000", "11111001"),
+                                   (16, "1111100000000000", "1111100000000001")]
+            for cell, counterexample in [
+                ("uniform-distance-law", "x=0,y=5,d=6,want=5"),
+                ("weight-monotone", "n=5,w=6,w_next=6"),
+                ("roundtrip-fixed",
+                 "n=5,error=0 after first 1 in thermometer word at position 1"),
+                ("thermometer-equivalence", f"v=5,transform={left},reversed={right}")]]),
+    "encode_generalized-2-as-3": (
+        "codes", "encode_generalized",  # encode_basic(2) asks for 3 of at most 2
+        lambda real: lambda n, k, top: real(3 if n == 2 else n, k, top), [
+            "roundtrip-basic [N=16] counterexample: n=2,error=n=3 exceeds max value 2",
+            "generalized-scaling [k=2 N=8] counterexample: x=0,y=2,d=6,want=4",
+            "generalized-min-distance [k=2 N=8] measured=0 claimed=1 "
+            "(measured minimum distance 0 differs from claimed k-1=1)",
+            "generalized-scaling [k=3 N=8] counterexample: x=0,y=2,d=9,want=6",
+            "generalized-min-distance [k=3 N=8] measured=0 claimed=2 "
+            "(measured minimum distance 0 differs from claimed k-1=2)"]),
+    "decode_fixed-always-raises": (
+        "codes", "decode_fixed",
+        lambda real: _raising(ValueError("not today")), [
+            f"roundtrip-fixed [L={L}] counterexample: n=0,error=not today" for L in (8, 16)]),
+    "hamming_distance-width-mismatch": (
+        "bitvec", "hamming_distance",
+        lambda real: lambda a, b: real(a, BitWord(b.value, b.width + 1)), [
+            *(f"metric-axioms [len={n}] counterexample: a={'0' * n},b={'0' * n},"
+              f"error=length mismatch: {n} vs {n + 1}" for n in range(1, 5)),
+            *(f"gray-adjacency [width={n}] counterexample: n=0,"
+              f"error=length mismatch: {n} vs {n + 1}" for n in range(1, 9)),
+            *(f"{family}-nonuniformity-witness [width=4] counterexample: a=3,b=4,"
+              "error=length mismatch: 4 vs 5" for family in ("binary", "gray")),
+            *(f"uniform-distance-law [L={n}] counterexample: x=0,y=0,"
+              f"error=length mismatch: {n} vs {n + 1}" for n in (8, 16)),
+            *(f"generalized-scaling [k={k} N=8] counterexample: x=0,y=0,"
+              f"error=length mismatch: {8 * k + 1} vs {8 * k + 2}" for k in (2, 3))]),
+}
 
 
 class TestCheck:
@@ -470,6 +620,16 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--grid", "quick")
         assert (code, err) == (2, "")
         assert "FAIL" in out and out.endswith(" checks\n")
+
+    @pytest.mark.parametrize("fault", sorted(CODEC_RAISES))
+    def test_codec_that_raises_fails_its_cells(self, capsys, monkeypatch, fault):
+        module, function, breaker, fails = CODEC_RAISES[fault]
+        module = importlib.import_module(f"unarynet.{module}")
+        monkeypatch.setattr(module, function, breaker(getattr(module, function)))
+        code, out, err = run(capsys, "check", "--grid", "quick")
+        assert (code, err) == (2, "")
+        assert [line for line in out.splitlines() if not line.startswith("ok")] == [
+            *(f"FAIL {line}" for line in fails), f"passed {55 - len(fails)}/55 checks"]
 
     def test_empty_grid_range_exits_one(self, capsys):
         code, out, err = run(capsys, "check", "--grid", "radii=3-1")

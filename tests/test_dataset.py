@@ -9,6 +9,7 @@ from unarynet.bitvec import BitWord
 from unarynet.cc4 import TrainingSample, train
 from unarynet.codes import encode_fixed, encode_one_hot
 from unarynet.dataset import (
+    MAX_LENGTH,
     QUANT_FAMILIES,
     Dataset,
     QuantizationSpec,
@@ -303,6 +304,13 @@ class TestQuantizeEncode:
         with pytest.raises(ValueError, match="family"):
             QuantizationSpec(4, 4, "thermo")
 
+    def test_length_and_so_bins_are_bounded(self):
+        assert QuantizationSpec(MAX_LENGTH, MAX_LENGTH).length == MAX_LENGTH == 1024
+        with pytest.raises(ValueError, match=r"^length 1025 > 1024, the most a segment holds$"):
+            QuantizationSpec(4, MAX_LENGTH + 1)
+        with pytest.raises(ValueError, match=r"^length 1025 < bins 1026$"):
+            QuantizationSpec(MAX_LENGTH + 2, MAX_LENGTH + 1)
+
 
 class _Fault(Exception):
     def __init__(self, where, message):
@@ -425,18 +433,27 @@ class TestSweep:
         ds = load_dataset(str(ANGLES_CSV))
         samples = quantize_encode(ds, QuantizationSpec(4, 4))
         rows = sweep_radius(samples, [0, 1, 2])
-        assert rows[0].accuracy == 1.0
-        assert rows[0].no_decision == 0
+        assert rows[0][1].accuracy == 1.0
+        assert rows[0][1].no_decision == 0
 
     def test_ball_volume_strictly_increases_until_saturation(self):
         ds = load_dataset(str(ANGLES_CSV))
         samples = quantize_encode(ds, QuantizationSpec(4, 4))
         rows = sweep_radius(samples, list(range(7)))
-        volumes = [r.ball_volume for r in rows]
+        volumes = [int(line.split("\t")[-1]) for line in sweep_table(rows, 4).splitlines()[1:]]
         for a, b in zip(volumes, volumes[1:]):
             assert b >= a
         assert volumes[:5] == sorted(set(volumes))  # strict until width 4
         assert volumes[4] == volumes[5] == volumes[6] == 16
+
+    @pytest.mark.parametrize("held_out", [False, True])
+    def test_each_report_is_evaluate_of_train(self, held_out):
+        ds = load_dataset(str(ANGLES_CSV))
+        samples = quantize_encode(ds, QuantizationSpec(4, 4))
+        train_on, target = (samples[1:], samples[:1]) if held_out else (samples, samples)
+        radii = [3, 0, 2]
+        got = sweep_radius(train_on, radii, target if held_out else None)
+        assert got == [(r, evaluate(train(train_on, r), target)) for r in radii]
 
     def test_empty_radius_range_rejected(self):
         with pytest.raises(ValueError, match="empty radius range"):
@@ -446,7 +463,7 @@ class TestSweep:
         ds = load_dataset(str(ANGLES_CSV))
         samples = quantize_encode(ds, QuantizationSpec(4, 4))
         rows = sweep_radius(samples[:2], [0], eval_samples=samples[2:])
-        assert rows[0].total == 2
+        assert rows[0][1].total == 2
 
     def test_empty_eval_set_rejected(self):
         samples = [TrainingSample(bw("01"), bw("1"))]
@@ -455,7 +472,7 @@ class TestSweep:
 
     def test_table_rendering(self):
         rows = sweep_radius([TrainingSample(bw("0101"), bw("1"))], [0, 1])
-        text = sweep_table(rows)
+        text = sweep_table(rows, 4)
         assert text.startswith("r\taccuracy\texact\tno_decision\tball_volume\n")
         assert "0\t1.0000\t1/1\t0\t1" in text
 

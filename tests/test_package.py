@@ -13,6 +13,7 @@ import unarynet
 ROOT = Path(__file__).resolve().parent.parent
 ANGLES = str(ROOT / "data" / "angles.csv")
 GOLDEN_MODEL = str(ROOT / "tests" / "data" / "angles_r1.cc4.golden")
+GOLDEN_MODEL_V2 = str(ROOT / "tests" / "data" / "angles_r1_v2.cc4.golden")
 
 # Runs one subcommand through cli.main, then prints its exit code and the
 # package modules the process has loaded.
@@ -45,6 +46,12 @@ def run_probe(probe, argv):
           "--out", "{tmp}"], {"dataset", "cc4", "codes", "bitvec"}),
         (["check", "--grid", "quick", "--machine"],
          {"checks", "cc4", "codes", "rng", "bitvec"}),
+        (["eval", "--model", GOLDEN_MODEL_V2, "--data", ANGLES],
+         {"dataset", "cc4", "codes", "bitvec"}),
+        (["sweep", "--data", ANGLES, "--r-min", "0", "--r-max", "1"],
+         {"dataset", "cc4", "codes", "bitvec"}),
+        (["encode", "--family", "fixed", "--n", "3", "--length", "5"], {"codes", "bitvec"}),
+        (["decode", "--family", "fixed", "--word", "00111"], {"codes", "bitvec"}),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
