@@ -217,32 +217,42 @@ def _decimal(field: str) -> str:
     return "-" + digits if field[0] == "-" and digits != "0" else digits
 
 
-def _reread(line: str, lineno: int, width: int, what: str) -> int:
-    """Read a row the exact read rejected field by field, raising on the first
-    bad field; else its +1/-1 signs as an int (a hidden row ends in its bias)."""
+def _row(line: str, lineno: int, width: int, radius: int | None = None) -> None:
+    """Raise the first fault of a row the exact read rejected, read field by
+    field: a hidden row (radius given) ends in its bias, an output row has none."""
+    what = "output" if radius is None else "hidden"
     fields = line.split()
     if len(fields) != width:
         raise ValueError(
             f"line {lineno}: {what} row has {len(fields)} fields, expected {width}")
-    signs, bias = (fields[:-1], fields[-1]) if what == "hidden" else (fields, "0")
+    signs, bias = (fields, "0") if radius is None else (fields[:-1], fields[-1])
     bad = next((f for f in signs if f not in _SIGNS), None)
     try:
-        _decimal(bias if bad is None else bad)
+        shown = _decimal(bias if bad is None else bad)
     except ValueError:
         fault = [f.start() for f in re.finditer(r"\S+", line)][
             -1 if bad is None else signs.index(bad)]  # all before it is right
         raise ValueError(f"line {lineno}: non-integer weight in {what} row: "
                          f"{_quote(line, line[:fault])}") from None
     if bad is not None:
-        weight = "pattern" if what == "hidden" else "output"
-        raise ValueError(f"line {lineno}: {weight} weight {_quote(bad)} is not 1 or -1")
-    return int("".join(signs).replace("-1", "0"), 2)
+        raise ValueError(f"line {lineno}: {'output' if radius is None else 'pattern'} "
+                         f"weight {_quote(bad)} is not 1 or -1")
+    value = int("".join(signs).replace("-1", "0"), 2)
+    if radius is None:
+        raise ValueError(f"line {lineno}: output row is not in canonical form: "
+                         + _quote(line, _sign_row(value, width)))
+    want = str(radius - value.bit_count() + 1)
+    fault = (f"bias {_quote(bias, want) if len(bias) > 120 else shown} != r - s + 1 = {want}"
+             if shown != want else
+             "not in canonical form: " + _quote(line, f"{_sign_row(value, width - 1)} {want}"))
+    raise ValueError(f"hidden row {lineno - 1} (line {lineno}): {fault}")
 
 
 def load_network(text: str) -> CC4Network:
     """Parse the weight form: exactly the text save_network writes, whose
     hidden rows are +1/-1 signs followed by the bias r - s + 1 training writes.
-    A row the exact read rejects is re-read field by field to name the fault.
+    A row the exact read rejects is re-read field by field to name its fault,
+    so the first fault in file order is the one reported.
     Only LF or CR LF ends a line: a form feed or a bare CR stays inside its row."""
     if "\r" in text:  # a one-character search, far cheaper than replace's own
         text = text.replace("\r\n", "\n")
@@ -259,9 +269,9 @@ def load_network(text: str) -> CC4Network:
     except ValueError:
         raise ValueError(
             f"line 1: non-integer field in model header: {_quote(lines[0])}") from None
-    if n < 2 or h < 1 or m < 1:
-        raise ValueError(
-            f"line 1: model header needs n >= 2, h >= 1, m >= 1: {_quote(lines[0])}")
+    if n < 2 or h < 1 or m < 1 or radius < 0:
+        raise ValueError(f"line 1: model header needs n >= 2, h >= 1, m >= 1, r >= 0: "
+                         f"{_quote(lines[0])}")
     quantizer = " ".join(header[6:])
     canonical = f"{MODEL_MAGIC} {version} {n} {h} {m} {radius} {quantizer}".rstrip(" ")
     if lines[0] != canonical:
@@ -273,30 +283,17 @@ def load_network(text: str) -> CC4Network:
         raise ValueError(f"expected {1 + h + m} lines, found {len(lines)}")
 
     anchors = []
-    late = ""  # a hidden row's wrong bias or spelling, raised once every field is checked
     for lineno, line in enumerate(lines[1:1 + h], start=2):
         signs, _, bias = line.rpartition(" ")
         anchor = _read_signs(signs, n - 1)
         if anchor is None or bias != str(radius - anchor.bit_count() + 1):
-            anchor = _reread(line, lineno, n, "hidden")
-            field, want = line.split()[-1], str(radius - anchor.bit_count() + 1)
-            bias = _decimal(field)
-            shown = _quote(field, want) if len(field) > 120 else bias
-            fault = f"bias {shown} != r - s + 1 = {want}" if bias != want else (
-                "not in canonical form: "
-                + _quote(line, f"{_sign_row(anchor, n - 1)} {want}"))
-            late = late or f"hidden row {lineno - 1} (line {lineno}): {fault}"
+            _row(line, lineno, n, radius)
         anchors.append(anchor)
     columns = []
     for lineno, line in enumerate(lines[1 + h:], start=2 + h):
         column = _read_signs(line, h)
         if column is None:
-            column = _reread(line, lineno, h, "output")
-            raise ValueError(f"line {lineno}: output row is not in canonical form: "
-                             + _quote(line, _sign_row(column, h)))
+            _row(line, lineno, h)
         columns.append(format(column, f"0{h}b"))
     labels = tuple(int("".join(bits), 2) for bits in zip(*columns))
-    net = CC4Network(radius, n - 1, m, tuple(anchors), labels, quantizer)
-    if late:
-        raise ValueError(late)
-    return net
+    return CC4Network(radius, n - 1, m, tuple(anchors), labels, quantizer)

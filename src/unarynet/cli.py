@@ -96,21 +96,22 @@ def _check_flags(args) -> None:
 def _cmd_encode(args) -> int:
     from . import codes
     _check_flags(args)
+    if args.family == "generalized":
+        if args.k < 1:
+            raise ValueError("k must be >= 1")
+        if args.length is not None and (args.length - 1) % args.k != 0:
+            raise ValueError(f"--length {args.length} is not k*N+1 for k={args.k}")
+    length = (args.length if args.length is not None else
+              args.n + 1 if args.family == "basic" else args.k * args.n + 1)
+    if length > codes.MAX_LENGTH:  # refused before a word that long is built
+        raise ValueError(f"a {length}-bit word is longer than the "
+                         f"{codes.MAX_LENGTH} bits a codeword holds")
     if args.family == "basic":
         word = codes.encode_basic(args.n)
     elif args.family != "generalized":
         word = getattr(codes, f"encode_{_family_key(args.family)}")(args.n, args.length)
-    else:
-        if args.k < 1:
-            raise ValueError("k must be >= 1")
-        if args.length is not None:
-            if (args.length - 1) % args.k != 0:
-                raise ValueError(
-                    f"--length {args.length} is not k*N+1 for k={args.k}")
-            max_value = (args.length - 1) // args.k
-        else:
-            max_value = args.n
-        word = codes.encode_generalized(args.n, args.k, max_value)
+    else:  # N = n unless --length picks the field size
+        word = codes.encode_generalized(args.n, args.k, (length - 1) // args.k)
     print(word)
     return 0
 
@@ -127,7 +128,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_table(args) -> int:
     from . import tables
-    sys.stdout.write(tables.emit_table(int(args.which)))
+    sys.stdout.write(tables.render_table1() if args.which == "1" else tables.render_table2())
     return 0
 
 
@@ -174,6 +175,9 @@ def _cmd_eval(args) -> int:
         q, ranges = dataset.read_quantizer(net.quantizer, net.pattern_width)
     except ValueError as e:
         raise ValueError(f"{args.model}: {e}") from None
+    if len(ds.feature_names) != len(ranges):
+        raise ValueError(f"{args.data}: feature count {len(ds.feature_names)} != "
+                         f"{len(ranges)}, the count {args.model} was trained on")
     samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q, clamp=args.clamp)
     report = dataset.evaluate(net, samples)
     for line in report.lines():
@@ -182,7 +186,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from . import dataset
+    from . import codes, dataset
     if args.r_min < 0 or args.r_max < args.r_min:
         raise ValueError(f"bad radius range {args.r_min}..{args.r_max}")
     if args.holdout_every is not None and args.holdout_every < 2:
@@ -192,10 +196,10 @@ def _cmd_sweep(args) -> int:
         (lo, hi), name = max(zip(ds.feature_ranges, ds.feature_names),
                              key=lambda pair: pair[0][1] - pair[0][0])
         bins = hi - lo + 1
-        if bins > dataset.MAX_LENGTH:
+        if bins > codes.MAX_LENGTH:
             raise ValueError(
                 f"feature {name!r} ranges over {lo}..{hi}: {bins} values, more than "
-                f"the {dataset.MAX_LENGTH} that --bins defaults to at most; pass --bins")
+                f"the {codes.MAX_LENGTH} that --bins defaults to at most; pass --bins")
     else:
         bins = args.bins
     length = args.length if args.length is not None else bins

@@ -15,6 +15,8 @@ from itertools import combinations
 
 from .bitvec import BitWord, hamming_distance
 
+MAX_LENGTH = 1024  # most bits a codeword holds, so most bins in a feature's segment
+
 
 class DecodeError(ValueError):
     """A word does not have the shape the family requires.

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 from .bitvec import BitWord
 from .cc4 import CC4Network, TrainingSample, _quote, infer, train
-from .codes import encode_fixed, encode_one_hot
+from .codes import MAX_LENGTH, encode_fixed, encode_one_hot
 
 QUANT_FAMILIES = ("fixed", "one_hot")
-MAX_LENGTH = 1024  # most bits in one feature's segment, and so most bins
 
 
 @dataclass(frozen=True)

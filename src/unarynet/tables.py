@@ -29,11 +29,3 @@ def render_table2() -> str:
     for n in range(0, 11):
         lines.append(f"{n}\t{encode_basic(n)}\t{encode_fixed(n, TABLE2_LENGTH)}")
     return "\n".join(lines) + "\n"
-
-
-def emit_table(which: int) -> str:
-    if which == 1:
-        return render_table1()
-    if which == 2:
-        return render_table2()
-    raise ValueError(f"no table {which}; choose 1 or 2")

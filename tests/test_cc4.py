@@ -394,7 +394,16 @@ class TestSerialization:
             ("CC4 1 5 1 1 1\n1 1 1 1 -2\n01\n", "output weight '01' is not 1 or -1"),
             ("CC4 1 5 x 1 1\n1 1 1 1 1\n1\n", "non-integer field in model header"),
             ("CC4 1 5 1 1 1\n1 1 1 1 x\n1\n", "non-integer weight in hidden row: '1 1 1 1 x'"),
-            ("CC4 1 5 1 1 1\n1 1 1 1 1\n0\n", "output weight"),
+            # line 2's bias is reported before line 3's weight: faults in file order
+            ("CC4 1 5 1 1 1\n1 1 1 1 1\n0\n",
+             r"hidden row 1 \(line 2\): bias 1 != r - s \+ 1 = -2"),
+            ("CC4 1 5 1 1 -1\n1 1 1 1 1\n0\n", r"line 1: model header needs .*, r >= 0: "),
+            # a fault on line 2 and on the last line (output weight 0): line 2's is named
+            *((f"CC4 1 5 2 1 1\n{row}\n1 1 -1 -1 0\n1 0\n", message) for row, message in (
+                ("-1 -1 -1 -1 3", r"^hidden row 1 \(line 2\): bias 3 != r - s \+ 1 = 2$"),
+                ("-1 -1 -1 -1 +2", r"^hidden row 1 \(line 2\): not in canonical form: "),
+                ("2 -1 -1 -1 2", r"^line 2: pattern weight '2' is not 1 or -1$"),
+                ("-1 -1 -1 -1 2", r"^line 4: output weight '0' is not 1 or -1$"))),
             ("CC4 1 5 1 1 1\n1 1 1 1 7\n1\n", r"hidden row 1 \(line 2\): bias 7"),
             # header fields int() reads but save_network never writes
             ("CC4 01 5 1 1 1\n-1 -1 -1 -1 2\n1\n", "line 1: model header 'CC4 01 5"),

@@ -40,6 +40,13 @@ class TestEncodeDecode:
               "--length", "7"], "1111110"),
             (["encode", "--family", "generalized", "--n", "2", "--k", "3"],
              "1111110"),
+            # words of exactly MAX_LENGTH bits, the most a codeword holds
+            (["encode", "--family", "fixed", "--n", "3", "--length", str(MAX_LENGTH)],
+             "0" * (MAX_LENGTH - 3) + "111"),
+            (["encode", "--family", "basic", "--n", str(MAX_LENGTH - 1)],
+             "1" * (MAX_LENGTH - 1) + "0"),
+            (["encode", "--family", "generalized", "--n", "1", "--k", "3",
+              "--length", str(MAX_LENGTH)], "111" + "0" * (MAX_LENGTH - 3)),
         ],
     )
     def test_encode(self, capsys, argv, expected):
@@ -113,6 +120,30 @@ class TestEncodeDecode:
     def test_generalized_needs_k(self, capsys, argv):
         assert run(capsys, *argv) == (
             1, "", "error: --k is required for the generalized family\n")
+
+
+class TestEncodeBound:
+    """A codeword holds at most MAX_LENGTH bits: encode refuses a longer word
+    before it builds one."""
+
+    @pytest.mark.parametrize("argv, length", [
+        (["--family", "fixed", "--n", "3", "--length", "10000000"], 10000000),
+        (["--family", "one-hot", "--n", "3", "--length", "5000000"], 5000000),
+        (["--family", "basic", "--n", "5000000"], 5000001),
+        (["--family", "generalized", "--n", "3", "--k", "1000000"], 3000001),
+        (["--family", "fixed", "--n", "3", "--length", str(MAX_LENGTH + 1)], MAX_LENGTH + 1),
+    ], ids=["fixed", "one-hot", "basic", "generalized", "one-past"])
+    def test_long_word_is_refused_at_once(self, argv, length):
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "unarynet.cli", "encode", *argv],
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+            f"error: a {length}-bit word is longer than the {MAX_LENGTH} bits "
+            "a codeword holds\n"))
 
 
 class TestUsageErrors:
@@ -262,6 +293,15 @@ class TestTrainPredictEval:
         assert out == ""
         assert err.startswith("error: ")
         assert "output width 2 != model output count 4" in err
+
+    def test_eval_feature_count_mismatch_names_both_files(self, capsys, tmp_path):
+        model = tmp_path / "m.cc4"
+        data = tmp_path / "eight.csv"
+        data.write_text("a,b,c,d,e,f,g,h,label\n1,2,3,4,5,6,7,8,0\n8,7,6,5,4,3,2,1,1\n")
+        run(capsys, "train", "--data", str(data), "--radius", "0",
+            "--bins", "8", "--length", "8", "--out", str(model))
+        assert run(capsys, "eval", "--model", str(model), "--data", ANGLES) == (
+            1, "", f"error: {ANGLES}: feature count 1 != 8, the count {model} was trained on\n")
 
     def test_train_has_no_clamp_flag(self, capsys, tmp_path):
         model = tmp_path / "m.cc4"

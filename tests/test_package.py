@@ -1,14 +1,11 @@
-"""The package's public names, and which modules each CLI subcommand loads."""
+"""Which modules the package and each CLI subcommand load."""
 
-import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import unarynet
 
 ROOT = Path(__file__).resolve().parent.parent
 ANGLES = str(ROOT / "data" / "angles.csv")
@@ -88,21 +85,12 @@ def test_code_subcommands_load_neither_dataclasses_nor_inspect(argv):
     assert run_probe(HEAVY_PROBE, argv) == ["0"]
 
 
-def test_every_public_name_resolves_to_its_home_module():
-    assert len(unarynet.__all__) == len(set(unarynet.__all__)) == 32
-    for name in unarynet.__all__:
-        home = importlib.import_module(f"unarynet.{unarynet._HOME[name]}")
-        assert getattr(unarynet, name) is getattr(home, name)
-        assert getattr(home, name).__module__ == home.__name__
 
-
-def test_star_import_and_dir_list_every_name():
-    namespace = {}
-    exec("from unarynet import *", namespace)
-    assert set(unarynet.__all__) <= set(namespace)
-    assert set(unarynet.__all__) <= set(dir(unarynet))
-
-
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
-        unarynet.nonesuch
+def test_package_import_loads_no_submodule():
+    # names are imported from their modules, so the package file imports none
+    probe = """
+import sys
+import unarynet
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "unarynet"))
+"""
+    assert run_probe(probe, []) == ["unarynet"]

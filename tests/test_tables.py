@@ -1,8 +1,6 @@
 from pathlib import Path
 
-import pytest
-
-from unarynet.tables import emit_table, render_table1, render_table2
+from unarynet.tables import render_table1, render_table2
 
 GOLDEN = Path(__file__).resolve().parent / "data"
 
@@ -29,9 +27,3 @@ def test_table2_has_eleven_rows_two_code_columns():
     assert rows[0] == "0\t0\t0000000000"
     assert rows[7] == "7\t11111110\t0001111111"
 
-
-def test_emit_table_dispatch():
-    assert emit_table(1) == render_table1()
-    assert emit_table(2) == render_table2()
-    with pytest.raises(ValueError, match="no table 3"):
-        emit_table(3)
