@@ -21,16 +21,13 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import compress
 
-from .bitvec import BitWord
+from .bitvec import _BIT_VALUES, BitWord
 
 MODEL_MAGIC = "CC4"
 
 _SIGNS = {"1", "-1"}
-
-# ASCII '0'/'1' -> fire flags 0/1, so compress can pick the fired labels
-_FIRE_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 # _BYTE_SIGNS[v]: the eight weights of byte v, most significant bit first
 _BYTE_SIGNS = [" ".join("1" if v >> k & 1 else "-1" for k in range(7, -1, -1))
@@ -99,8 +96,6 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     One hidden neuron per sample, in sample order; duplicate or contradictory
     inputs each still get their own neuron.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     anchors = []
     labels = []
     in_width = out_width = None
@@ -144,27 +139,13 @@ def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
 def infer(net: CC4Network, x: BitWord) -> BitWord:
     """Majority of the fired labels per output bit; all-zero means no region
     claimed the query or its votes tied."""
-    flags = str(hidden_activations(net, x)).encode().translate(_FIRE_FLAGS)
+    flags = str(hidden_activations(net, x)).encode().translate(_BIT_VALUES)
     fired = list(compress(net.labels, flags))
     value = 0
     for shift in range(net.output_count - 1, -1, -1):
         votes = sum(label >> shift & 1 for label in fired)
         value = value << 1 | (2 * votes > len(fired))
     return BitWord(value, net.output_count)
-
-
-def generalization_region(net: CC4Network, hidden_index: int) -> set[BitWord]:
-    """Every query that makes the given hidden neuron fire: the Hamming ball
-    of radius r around its anchor, enumerated by flipping at most r bits."""
-    if not 0 <= hidden_index < net.hidden_count:
-        raise ValueError(f"hidden index {hidden_index} outside 0..{net.hidden_count - 1}")
-    width = net.pattern_width
-    anchor = net.anchors[hidden_index]
-    return {
-        BitWord(anchor ^ sum(1 << p for p in flips), width)
-        for d in range(min(net.radius, width) + 1)
-        for flips in combinations(range(width), d)
-    }
 
 
 def _sign_row(value: int, width: int) -> str:
@@ -195,6 +176,16 @@ def save_network(net: CC4Network) -> str:
     label_bits = [format(label, f"0{m}b") for label in net.labels]
     lines.extend(_sign_row(int("".join(column), 2), h) for column in zip(*label_bits))
     return "\n".join(lines) + "\n"
+
+
+def _lines(text: str) -> list[str]:
+    """Only LF or CR LF ends a line, and the final newline ends the last line."""
+    if "\r" in text:  # a one-character search, far cheaper than replace's own
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _quote(line: str, right: str = "") -> str:
@@ -253,12 +244,8 @@ def load_network(text: str) -> CC4Network:
     hidden rows are +1/-1 signs followed by the bias r - s + 1 training writes.
     A row the exact read rejects is re-read field by field to name its fault,
     so the first fault in file order is the one reported.
-    Only LF or CR LF ends a line: a form feed or a bare CR stays inside its row."""
-    if "\r" in text:  # a one-character search, far cheaper than replace's own
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final newline ends the last line
+    A form feed or a bare CR stays inside its row (see _lines)."""
+    lines = _lines(text)
     if not lines:
         raise ValueError("empty model text")
     header = lines[0].split()

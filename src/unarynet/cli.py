@@ -162,7 +162,12 @@ def _cmd_predict(args) -> int:
     from . import cc4
     from .bitvec import BitWord
     net = _load_model(args.model)
-    print(cc4.infer(net, BitWord.from_string(args.input)))
+    query = BitWord.from_string(args.input)  # a bad character is the input's fault alone
+    try:
+        answer = cc4.infer(net, query)
+    except ValueError as e:  # a width the model does not take
+        raise ValueError(f"{args.model}: {e}") from None
+    print(answer)
     return 0
 
 
@@ -178,6 +183,10 @@ def _cmd_eval(args) -> int:
     if len(ds.feature_names) != len(ranges):
         raise ValueError(f"{args.data}: feature count {len(ds.feature_names)} != "
                          f"{len(ranges)}, the count {args.model} was trained on")
+    row = next((k for k, (_, label) in enumerate(ds.rows, 1) if label >= net.output_count), 0)
+    if row:  # before encoding, whose one-hot outputs would be wider than the model's
+        raise ValueError(f"{args.data}: row {row}: label {ds.rows[row - 1][1]} >= "
+                         f"{net.output_count}, the class count of {args.model}")
     samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q, clamp=args.clamp)
     report = dataset.evaluate(net, samples)
     for line in report.lines():

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bitvec import BitWord
-from .cc4 import CC4Network, TrainingSample, _quote, infer, train
+from .cc4 import CC4Network, TrainingSample, _lines, _quote, infer, train
 from .codes import MAX_LENGTH, encode_fixed, encode_one_hot
 
 QUANT_FAMILIES = ("fixed", "one_hot")
@@ -52,13 +52,9 @@ class QuantizationSpec:
 
 
 def parse_dataset(text: str, source: str = "<data>") -> Dataset:
-    """Only LF or CR LF ends a line: a form feed or a bare CR stays inside its
-    line, so one malformed line never becomes two rows."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final newline ends the last line
+    """Lines as cc4._lines splits them: a form feed or a bare CR stays inside
+    its line, so one malformed line never becomes two rows."""
+    lines = _lines(text)
     if not lines:
         raise ValueError(f"{source}: empty file")
     header = lines[0].split(",")
@@ -67,8 +63,9 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
     names = tuple(h.strip() for h in header[:-1])
     arity = len(names)
     rows = []
-    body = text[len(lines[0]) + 1:].encode("ascii", "replace")  # int() also reads "+3", " 7"
-    plain = not body.translate(None, b"0123456789,\n-")
+    # int() also reads "+3", " 7"; rows are rejoined after a CR, so a CR LF is no stray byte
+    body = "\n".join(lines[1:]) if "\r" in text else text[len(lines[0]) + 1:]
+    plain = not body.encode("ascii", "replace").translate(None, b"0123456789,\n-")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue

@@ -10,7 +10,6 @@ from unarynet.bitvec import BitWord, binary_encode, hamming_distance
 from unarynet.cc4 import (
     CC4Network,
     TrainingSample,
-    generalization_region,
     hidden_activations,
     infer,
     load_network,
@@ -189,6 +188,25 @@ class TestInference:
         net = CC4Network(2, 8, 1, tuple(int(a, 2) for a, _ in cases), (1,) * len(cases))
         assert str(hidden_activations(net, query)) == "".join(str(f) for _, f in cases)
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_fire_test_at_wide_patterns(self, data):
+        # queries r and r + 1 flips from each anchor, and random words; a query
+        # flipped from the all-0 or all-1 anchor puts it on the weight band's
+        # edge w(x) - r or w(x) + r
+        width = data.draw(st.sampled_from([64, 256, 1024]))
+        radius = data.draw(st.integers(0, 8) | st.integers(0, width - 1))
+        word = st.integers(0, 2**width - 1)
+        anchors = (0, 2**width - 1, *data.draw(st.lists(word, min_size=1, max_size=6)))
+        net = CC4Network(radius, width, 1, anchors, (1,) * len(anchors))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        for anchor in anchors:
+            spots = rnd.sample(range(width), radius + 1)
+            near = anchor ^ sum(1 << p for p in spots[:radius])
+            for x in (near, near ^ 1 << spots[-1], data.draw(word)):
+                want = "".join("01"[(x ^ a).bit_count() <= radius] for a in anchors)
+                assert str(hidden_activations(net, BitWord(x, width))) == want
+
     @pytest.mark.parametrize("radius", [0, 1, 4, 5, 9])
     @pytest.mark.parametrize("h", [1, 2, 7])
     def test_radius_extremes_match_distance(self, radius, h):
@@ -251,39 +269,6 @@ class TestInference:
             radius=4,
         )
         assert infer(net, bw("0000")) == bw("1")
-
-
-class TestGeneralizationRegion:
-    def test_radius_zero_is_singleton(self):
-        net = train([sample("1010", "1")], 0)
-        assert generalization_region(net, 0) == {bw("1010")}
-
-    def test_radius_covering_everything(self):
-        net = train([sample("1010", "1")], 4)
-        assert len(generalization_region(net, 0)) == 16
-
-    def test_width4_radius1_has_five_words(self):
-        net = train([sample("0110", "1")], 1)
-        region = generalization_region(net, 0)
-        assert len(region) == comb(4, 0) + comb(4, 1) == 5
-
-    def test_region_is_exactly_the_hamming_ball(self):
-        anchor = bw("101100")
-        net = train([TrainingSample(anchor, bw("1"))], 2)
-        want = {x for x in all_words(6) if hamming_distance(x, anchor) <= 2}
-        assert generalization_region(net, 0) == want
-
-    def test_bad_index_rejected(self):
-        net = train([sample("1010", "1")], 1)
-        with pytest.raises(ValueError, match="hidden index"):
-            generalization_region(net, 1)
-
-    def test_wide_pattern_enumerates_only_the_ball(self):
-        wide = TrainingSample(BitWord.zeros(64), bw("1"))
-        net = train([wide], 2)
-        region = generalization_region(net, 0)
-        assert len(region) == comb(64, 0) + comb(64, 1) + comb(64, 2)
-        assert max(sum(x.bits) for x in region) == 2
 
 
 class TestComplementSymmetry:

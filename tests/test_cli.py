@@ -202,6 +202,16 @@ class TestTrainPredictEval:
         assert code == 1
         assert "query length" in err
 
+    def test_predict_width_mismatch_names_the_model(self, capsys, tmp_path):
+        model = tmp_path / "m.cc4"
+        run(capsys, "train", "--data", ANGLES, "--radius", "1",
+            "--bins", "4", "--length", "4", "--out", str(model))
+        assert run(capsys, "predict", "--model", str(model), "--input", "01") == (
+            1, "", f"error: {model}: query length 2 != pattern width 4\n")
+        # a bad character is the input's fault, so no model path is named
+        assert run(capsys, "predict", "--model", str(model), "--input", "01x1") == (
+            1, "", "error: invalid character 'x' at position 2\n")
+
     def test_predict_rejects_tampered_bias(self, capsys, tmp_path):
         model = tmp_path / "m.cc4"
         run(capsys, "train", "--data", ANGLES, "--radius", "0",
@@ -293,6 +303,15 @@ class TestTrainPredictEval:
         assert out == ""
         assert err.startswith("error: ")
         assert "output width 2 != model output count 4" in err
+
+    def test_eval_label_past_class_count_names_its_row(self, capsys, tmp_path):
+        model = tmp_path / "m.cc4"
+        data = tmp_path / "five.csv"
+        data.write_text("a,label\n1,0\n2,1\n3,2\n4,3\n4,4\n")
+        run(capsys, "train", "--data", ANGLES, "--radius", "1",
+            "--bins", "4", "--length", "4", "--out", str(model))
+        assert run(capsys, "eval", "--model", str(model), "--data", str(data)) == (
+            1, "", f"error: {data}: row 5: label 4 >= 4, the class count of {model}\n")
 
     def test_eval_feature_count_mismatch_names_both_files(self, capsys, tmp_path):
         model = tmp_path / "m.cc4"
