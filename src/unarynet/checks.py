@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, compress
-from operator import and_, or_
+from functools import partial
+from itertools import compress
+from operator import sub
+from struct import calcsize, pack
 
 from . import bitvec, cc4, codes
 from .bitvec import BitWord
@@ -37,6 +39,18 @@ _BOUNDS = {
     "bias": ("bias_vectors", 1, 1000, "bias_vectors"),
     "seed": ("seed", None, None, None),  # any int
 }
+# Byte lanes, held by the asserts to the bounds above so that none carries or
+# borrows: a radius-law sum, r - s + 1 plus at most width weights, is a byte
+# _OFFSET + sum; a word's fire flags are a "<I" lane, a bit per sample; and a
+# triangle byte 127 + d(a, c) - d(a, b) - d(b, c) lies in 127 - 2L..127 + L.
+_OFFSET, _LANE = 128, calcsize("<I")
+assert 2 * _BOUNDS["widths"][2] - 1 <= _OFFSET and _BOUNDS["samples"][2] <= 8 * _LANE
+assert _BOUNDS["radii"][2] + 1 + _BOUNDS["widths"][2] < 256 - _OFFSET
+assert 2 * _BOUNDS["metric"][2] <= 127 < 256 - _BOUNDS["metric"][2]
+# _OFFSET + sum -> _OFFSET + sum + weight, and -> 1 if the sum is positive, else 0
+_STEPS = {1: bytes(range(1, 256)) + b"\0", -1: b"\xff" + bytes(range(255))}
+_FIRE = bytes(v > _OFFSET for v in range(256))
+
 # most values of a 'lo-hi' range (checked before it is built) or an 'a/b/c' list
 MAX_RANGE_LEN = 64
 
@@ -159,10 +173,11 @@ def _cell(name: str, params: dict[str, int], counterexamples: Iterable[str]) -> 
 def check_metric_axioms(length: int) -> PropertyResult:
     """Symmetry, identity, range 0..L and triangle inequality over the hypercube.
 
-    The triangle pass runs on bitsets over c: c breaks d(a, c) <= d(a, b) + d(b, c)
-    iff it is in shells[a][k] (d(a, c) = k) and in within[b][k - d(a, b) - 1]
-    (d(b, c) <= that), and the lowest such c is the one a loop over c meets first.
-    """
+    The triangle pass holds row a's distances as an int R_a of one byte per c,
+    lowest c lowest. Byte c of R_a + (127 - d(a, b)) * ONES - R_b is
+    127 + d(a, c) - d(a, b) - d(b, c), which reaches 128 iff c breaks the
+    inequality, so the lowest byte with its top bit set is the c a loop over c
+    meets first."""
     words = _all_words(length)
     count = len(words)
     try:
@@ -176,36 +191,27 @@ def check_metric_axioms(length: int) -> PropertyResult:
                     _on(f"a={a},b={b}", bitvec.hamming_distance, a, b)
             yield raised
         return _cell("metric-axioms", {"len": length}, again())
+    fail = partial(PropertyResult, params={"len": length}, passed=False)
     for i in range(count):
         for j in range(i, count):
             if dist[i][j] != dist[j][i]:
-                return PropertyResult(
-                    "metric-symmetry", {"len": length}, False,
-                    counterexample=f"a={words[i]},b={words[j]}")
+                return fail("metric-symmetry", counterexample=f"a={words[i]},b={words[j]}")
             if (dist[i][j] == 0) != (i == j):
-                return PropertyResult(
-                    "metric-identity", {"len": length}, False,
-                    counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
-    # an L-bit distance is 0..L, so each word's shells and within sets have L + 1 entries
+                return fail("metric-identity",
+                            counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
     for i, row in enumerate(dist):
         for j, d in enumerate(row):
             if not 0 <= d <= length:
-                return PropertyResult("metric-range", {"len": length}, False,
-                                      counterexample=f"a={words[i]},b={words[j]},d={d}")
-    shells = [[0] * (length + 1) for _ in words]
-    for shell, row in zip(shells, dist):
-        for c, d in enumerate(row):
-            shell[d] |= 1 << c
-    within = [list(accumulate(shell, or_)) for shell in shells]
-    for i, (shell, di) in enumerate(zip(shells, dist)):
-        for j, dij in enumerate(di):
-            # k > d(a, b) meets within[b][k - d(a, b) - 1]; the shells are
-            # disjoint, so the sum of the hits is their union
-            hits = sum(map(and_, shell[dij + 1:], within[j]))
-            if hits:
-                c = words[(hits & -hits).bit_length() - 1]
-                return PropertyResult("metric-triangle", {"len": length}, False,
-                                      counterexample=f"a={words[i]},b={words[j]},c={c}")
+                return fail("metric-range", counterexample=f"a={words[i]},b={words[j]},d={d}")
+    top = 0x80 * (ones := int.from_bytes(b"\1" * count, "little"))  # a top bit per byte
+    rows = [int.from_bytes(bytes(row), "little") for row in dist]
+    for i, (r_a, di) in enumerate(zip(rows, dist)):
+        lifted = [r_a + (127 - d) * ones for d in range(length + 1)]  # by d(a, b)
+        hits = map(top.__and__, map(sub, map(lifted.__getitem__, di), rows))
+        if (j := next(compress(range(count), hits), None)) is not None:
+            hit = lifted[di[j]] - rows[j] & top
+            c = words[(hit & -hit).bit_length() // 8 - 1]
+            return fail("metric-triangle", counterexample=f"a={words[i]},b={words[j]},c={c}")
     return PropertyResult("metric-axioms", {"len": length}, True)
 
 
@@ -321,76 +327,75 @@ def check_generalized_min_distance(k: int, max_value: int) -> PropertyResult:
                           measured=measured, claimed=claimed, note=note)
 
 
-def _weighted_rows(
-    samples: list[cc4.TrainingSample], radius: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """The paper's hidden rows: +1 where the sample's input bit is 1, -1 where
-    it is 0, and the bias r - s + 1 (s = number of 1 bits)."""
-    return [
-        (tuple(1 if b else -1 for b in s.input.bits),
-         radius - sum(s.input.bits) + 1)
-        for s in samples
-    ]
+def _weighted_rows(inputs: list[tuple[int, ...]], radius: int) -> list[tuple[list[int], int]]:
+    """The paper's hidden rows of these input bits: +1 where a bit is 1, -1
+    where it is 0, and the bias r - s + 1 (s = number of 1 bits)."""
+    return [([2 * b - 1 for b in bits], radius - sum(bits) + 1) for bits in inputs]
 
 
-def check_radius_law(
-    width: int, radius: int, sets: int, max_samples: int,
-    output_bits: int, rng: Lcg64,
-) -> PropertyResult:
-    """Hidden neuron i fires on x iff its weighted sum on x is positive."""
+def check_radius_law(width: int, radius: int, sets: int, max_samples: int,
+                     output_bits: int, rng: Lcg64) -> PropertyResult:
+    """Hidden neuron i fires on x iff its weighted sum on x is positive.
+
+    Row i's sums on every x, indexed by x.value, are bytes doubled once per
+    weight, lowest bit first. Its fire flags go to bit h - 1 - i of x's lane
+    of one int, as the library's fire word on x does: one comparison decides a
+    set, and the lowest differing lane and highest bit name the x and neuron."""
     inputs = _all_words(width)
+    lanes, lane_bits = bytearray(_LANE << width), 8 * _LANE
 
     def misses():
         for t in range(sets):
             samples = rng.next_training_set(max_samples, width, output_bits)
             net = cc4.train(samples, radius)
-            table = []  # table[i][x.value]: neuron i's sum on every x, a weight at a time
-            for weights, bias in _weighted_rows(samples, radius):
-                table.append([bias])
+            h, sums, want = len(samples), [], 0
+            rows = _weighted_rows([s.input.bits for s in samples], radius)
+            for i, (weights, bias) in enumerate(rows):
+                row = bytes([_OFFSET + bias])
                 for weight in reversed(weights):  # the lowest bit first
-                    table[-1] += [s + weight for s in table[-1]]
-            want = [1] * len(inputs)  # each x's fire flags, behind a 1 that fixes the width
-            for sums in table:
-                want = [w << 1 | (s > 0) for w, s in zip(want, sums)]
-            got = [(f := cc4.hidden_activations(net, x)).value | 1 << f.width for x in inputs]
-            if got != want:
-                x = next(x for x, g, w in zip(inputs, got, want) if g != w)
-                fired, wanted = bin(got[x.value])[3:], bin(want[x.value])[3:]
-                if len(fired) != len(wanted):
-                    yield f"set={t},x={x},fired_width={len(fired)},want_width={len(wanted)}"
-                    continue
-                i = next(i for i, (f, w) in enumerate(zip(fired, wanted)) if f != w)
-                yield f"set={t},neuron={i},x={x},fired={fired[i]},sum={table[i][x.value]}"
+                    row += row.translate(_STEPS[weight])
+                sums.append(row)
+                lanes[::_LANE] = row.translate(_FIRE)
+                want |= int.from_bytes(lanes, "little") << h - 1 - i
+            fired = list(map(partial(cc4.hidden_activations, net), inputs))
+            widths = [f.width for f in fired]
+            k = len(fired)  # the lanes before the first word of the wrong width
+            if widths.count(h) != k:
+                k = next(compress(range(k), map(h.__ne__, widths)))
+            got = int.from_bytes(pack(f"<{k}I", *[f.value for f in fired[:k]]), "little")
+            if diff := (got ^ want) & ~(-1 << lane_bits * k):
+                x = ((diff & -diff).bit_length() - 1) // lane_bits
+                b = (diff >> lane_bits * x & ~(-1 << lane_bits)).bit_length() - 1
+                yield (f"set={t},neuron={h - 1 - b},x={inputs[x]},"
+                       f"fired={got >> lane_bits * x + b & 1},sum={sums[h - 1 - b][x] - _OFFSET}")
+            elif k < len(fired):
+                yield f"set={t},x={inputs[k]},fired_width={widths[k]},want_width={h}"
     return _cell("radius-law", {"width": width, "r": radius, "sets": sets}, misses())
 
 
-def check_training_reproduction(
-    width: int, radius: int, sets: int, max_samples: int,
-    output_bits: int, rng: Lcg64,
-) -> PropertyResult:
+def check_training_reproduction(width: int, radius: int, sets: int, max_samples: int,
+                                output_bits: int, rng: Lcg64) -> PropertyResult:
     """infer on each training input matches the paper's output sums.
 
     Output weights are +1/-1 copies of the sample outputs, summed over the
     neurons whose weighted hidden sum is positive. Ties and conflicts between
     overlapping regions resolve to 0 by the strict step rule, so the expected
-    bit is vote > 0, not the sample's own bit.
-    """
+    bit is vote > 0, not the sample's own bit."""
     def misses():
         for t in range(sets):
             samples = rng.next_training_set(max_samples, width, output_bits)
             net = cc4.train(samples, radius)
-            rows = _weighted_rows(samples, radius)
-            for i, sample in enumerate(samples):
+            inputs = [s.input.bits for s in samples]
+            rows = _weighted_rows(inputs, radius)
+            signs = [[2 * b - 1 for b in s.output.bits] for s in samples]  # output weights
+            for i, (sample, bits) in enumerate(zip(samples, inputs)):
                 # bias plus the weights at the input's 1 bits, one sum per row
-                sums = [bias + sum(compress(weights, sample.input.bits)) for weights, bias in rows]
-                fired = [s for s, total in zip(samples, sums) if total > 0]
-                expected_bits = []
-                for o in range(output_bits):
-                    vote = sum(1 if s.output[o] else -1 for s in fired)
-                    expected_bits.append(1 if vote > 0 else 0)
-                got = cc4.infer(net, sample.input)
-                if got != BitWord.from_bits(expected_bits):
-                    yield f"set={t},sample={i},got={got},want={''.join(map(str, expected_bits))}"
+                sums = [bias + sum(compress(weights, bits)) for weights, bias in rows]
+                # a leading 0 per output, so that no fired neuron still gives votes
+                votes = map(sum, zip([0] * output_bits, *compress(signs, map((0).__lt__, sums))))
+                want = "".join(["1" if vote > 0 else "0" for vote in votes])
+                if (got := cc4.infer(net, sample.input)) != BitWord(int(want, 2), output_bits):
+                    yield f"set={t},sample={i},got={got},want={want}"
     return _cell("training-reproduction", {"width": width, "r": radius, "sets": sets}, misses())
 
 
@@ -501,18 +506,13 @@ def run_property_checks(grid: CheckGrid) -> PropertyReport:
         add(check_generalized_scaling(k, grid.gen_max_value))
         add(check_generalized_min_distance(k, grid.gen_max_value))
 
-    rng = Lcg64(grid.seed + OFFSET_RADIUS_LAW)
-    for width in grid.widths:
-        for radius in grid.radii:
-            add(check_radius_law(
-                width, radius, grid.training_sets, grid.max_samples,
-                grid.output_bits, rng))
-    rng = Lcg64(grid.seed + OFFSET_REPRODUCTION)
-    for width in grid.widths:
-        for radius in grid.radii:
-            add(check_training_reproduction(
-                width, radius, grid.training_sets, grid.max_samples,
-                grid.output_bits, rng))
+    for offset, check in ((OFFSET_RADIUS_LAW, check_radius_law),
+                          (OFFSET_REPRODUCTION, check_training_reproduction)):
+        rng = Lcg64(grid.seed + offset)
+        for width in grid.widths:
+            for radius in grid.radii:
+                add(check(width, radius, grid.training_sets, grid.max_samples,
+                          grid.output_bits, rng))
     rng = Lcg64(grid.seed + OFFSET_BIAS)
     for radius in grid.radii:
         add(check_bias_rule(grid.bias_vectors, max(grid.widths), radius, rng))

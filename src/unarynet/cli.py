@@ -175,7 +175,9 @@ def _cmd_eval(args) -> int:
     from dataclasses import replace
     from . import dataset
     net = _load_model(args.model)
-    ds = dataset.load_dataset(args.data)  # before the quantizer: a CSV fault names its line
+    # before the quantizer, so that a CSV fault names its line; any label below m is
+    # a class of the model, so a held-out file need not hold every class
+    ds = dataset.load_dataset(args.data, dense=False)
     try:
         q, ranges = dataset.read_quantizer(net.quantizer, net.pattern_width)
     except ValueError as e:
@@ -184,10 +186,11 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.data}: feature count {len(ds.feature_names)} != "
                          f"{len(ranges)}, the count {args.model} was trained on")
     row = next((k for k, (_, label) in enumerate(ds.rows, 1) if label >= net.output_count), 0)
-    if row:  # before encoding, whose one-hot outputs would be wider than the model's
+    if row:  # before encoding, whose one-hot codec error would not name the row
         raise ValueError(f"{args.data}: row {row}: label {ds.rows[row - 1][1]} >= "
                          f"{net.output_count}, the class count of {args.model}")
-    samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q, clamp=args.clamp)
+    samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q,
+                                      clamp=args.clamp, classes=net.output_count)
     report = dataset.evaluate(net, samples)
     for line in report.lines():
         print(line)

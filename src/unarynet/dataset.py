@@ -51,9 +51,10 @@ class QuantizationSpec:
             raise ValueError(f"unknown quantization family {self.family!r}")
 
 
-def parse_dataset(text: str, source: str = "<data>") -> Dataset:
+def parse_dataset(text: str, source: str = "<data>", dense: bool = True) -> Dataset:
     """Lines as cc4._lines splits them: a form feed or a bare CR stays inside
-    its line, so one malformed line never becomes two rows."""
+    its line, so one malformed line never becomes two rows. dense: the labels
+    must be exactly 0..C-1, as a training set's are."""
     lines = _lines(text)
     if not lines:
         raise ValueError(f"{source}: empty file")
@@ -86,7 +87,7 @@ def parse_dataset(text: str, source: str = "<data>") -> Dataset:
         raise ValueError(f"{source}: no rows")
     labels = {label for _, label in rows}
     top = max(labels)
-    if len(labels) != top + 1:
+    if dense and len(labels) != top + 1:
         # fewer than len(labels) labels lie below len(labels) + 2, so the first
         # 3 gaps do: the scan never depends on how large top is
         first = [v for v in range(min(top, len(labels) + 2)) if v not in labels][:3]
@@ -119,7 +120,7 @@ def read_quantizer(words: str, width: int) -> tuple[QuantizationSpec, tuple]:
     return q, ranges
 
 
-def load_dataset(path: str) -> Dataset:
+def load_dataset(path: str, dense: bool = True) -> Dataset:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -128,7 +129,7 @@ def load_dataset(path: str) -> Dataset:
         line = data.count(b"\n", 0, e.start) + 1  # lines as parse_dataset counts them
         raise ValueError(
             f"{path}: line {line}: non-ASCII byte 0x{data[e.start]:02x}") from None
-    return parse_dataset(text, source=str(path))
+    return parse_dataset(text, source=str(path), dense=dense)
 
 
 def bin_index(value: int, lo: int, hi: int, bins: int, clamp: bool = False) -> int:
@@ -141,10 +142,12 @@ def bin_index(value: int, lo: int, hi: int, bins: int, clamp: bool = False) -> i
 
 
 def quantize_encode(
-    ds: Dataset, q: QuantizationSpec, clamp: bool = False
+    ds: Dataset, q: QuantizationSpec, clamp: bool = False, classes: int | None = None
 ) -> list[TrainingSample]:
-    """Bin and encode every row from per-bin segments and per-class one-hot outputs."""
-    classes, length, bins, fixed = ds.num_classes, q.length, q.bins, q.family == "fixed"
+    """Bin and encode every row from per-bin segments and one-hot outputs of
+    classes bits (default: the data's own class count)."""
+    length, bins, fixed = q.length, q.bins, q.family == "fixed"
+    classes = ds.num_classes if classes is None else classes
     if len(ds.rows[0][0]) != len(ds.feature_ranges):  # zip below would not notice
         raise ValueError(f"feature count mismatch: rows have {len(ds.rows[0][0])}, "
                          f"feature_ranges has {len(ds.feature_ranges)}")

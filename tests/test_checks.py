@@ -1,6 +1,7 @@
 import hashlib
 import re
 import tracemalloc
+from itertools import compress, count
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,140 @@ def test_flipped_first_neuron_caught_in_a_later_set(monkeypatch):
     _flip_fired_bit(monkeypatch, 0b1011001110, 0, from_call=1)
     result = checks.check_radius_law(10, 3, 20, 10, 2, Lcg64(1))
     assert result.counterexample == "set=1,neuron=0,x=1011001110,fired=1,sum=-2"
+
+
+def _rows_by_tuples(samples, radius):
+    """Reference hidden rows: +1/-1 weights per input bit and the bias r - s + 1."""
+    return [(tuple(1 if b else -1 for b in s.input.bits), radius - sum(s.input.bits) + 1)
+            for s in samples]
+
+
+def _radius_law_by_lists(width, radius, sets, max_samples, output_bits, rng):
+    """Reference: each row's sums as a list doubled once per weight, and each
+    x's fire flags behind a 1 that fixes the width, compared word by word."""
+    inputs = [BitWord(v, width) for v in range(1 << width)]
+
+    def misses():
+        for t in range(sets):
+            samples = rng.next_training_set(max_samples, width, output_bits)
+            net = cc4.train(samples, radius)
+            table = []  # table[i][x.value]: neuron i's sum on every x, a weight at a time
+            for weights, bias in _rows_by_tuples(samples, radius):
+                table.append([bias])
+                for weight in reversed(weights):  # the lowest bit first
+                    table[-1] += [s + weight for s in table[-1]]
+            want = [1] * len(inputs)
+            for sums in table:
+                want = [w << 1 | (s > 0) for w, s in zip(want, sums)]
+            got = [(f := cc4.hidden_activations(net, x)).value | 1 << f.width for x in inputs]
+            if got != want:
+                x = next(x for x, g, w in zip(inputs, got, want) if g != w)
+                fired, wanted = bin(got[x.value])[3:], bin(want[x.value])[3:]
+                if len(fired) != len(wanted):
+                    yield f"set={t},x={x},fired_width={len(fired)},want_width={len(wanted)}"
+                    continue
+                i = next(i for i, (f, w) in enumerate(zip(fired, wanted)) if f != w)
+                yield f"set={t},neuron={i},x={x},fired={fired[i]},sum={table[i][x.value]}"
+    return checks._cell("radius-law", {"width": width, "r": radius, "sets": sets}, misses())
+
+
+def _training_reproduction_by_lists(width, radius, sets, max_samples, output_bits, rng):
+    """Reference: every sum, fired neuron and vote rebuilt from the words' bits."""
+    def misses():
+        for t in range(sets):
+            samples = rng.next_training_set(max_samples, width, output_bits)
+            net = cc4.train(samples, radius)
+            rows = _rows_by_tuples(samples, radius)
+            for i, sample in enumerate(samples):
+                sums = [bias + sum(compress(weights, sample.input.bits))
+                        for weights, bias in rows]
+                fired = [s for s, total in zip(samples, sums) if total > 0]
+                expected_bits = []
+                for o in range(output_bits):
+                    vote = sum(1 if s.output[o] else -1 for s in fired)
+                    expected_bits.append(1 if vote > 0 else 0)
+                got = cc4.infer(net, sample.input)
+                if got != BitWord.from_bits(expected_bits):
+                    yield f"set={t},sample={i},got={got},want={''.join(map(str, expected_bits))}"
+    return checks._cell("training-reproduction",
+                        {"width": width, "r": radius, "sets": sets}, misses())
+
+
+def _faulty(real, kind, call, position, extra):
+    """real, except on its call-th call (counted from 0): that word with bit
+    position flipped, a word of extra bits more (or one fewer), or a raise."""
+    calls = count()
+
+    def faulty(net, x):
+        word = real(net, x)
+        if next(calls) != call or kind == "none":
+            return word
+        if kind == "flip":
+            return BitWord(word.value ^ 1 << position % word.width, word.width)
+        if kind == "raise":
+            raise ValueError(f"injected at {x}")
+        if extra < 0 and word.width > 1:
+            return BitWord(word.value >> 1, word.width - 1)
+        return BitWord(word.value, word.width + abs(extra))
+    return faulty
+
+
+@st.composite
+def _faulted_cells(draw, per_x):
+    """A small cell, a seed, and a fault on one of the cell's library calls:
+    one per (set, x) when per_x, else at most one per (set, sample)."""
+    width, sets, max_samples = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(
+        st.integers(1, 32))
+    calls = sets << width if per_x else sets * max_samples
+    return ((width, draw(st.integers(0, 7)), sets, max_samples, draw(st.integers(1, 3))),
+            draw(st.integers(0, 1 << 16)),
+            (draw(st.sampled_from(["flip", "width", "raise", "none"])),
+             draw(st.integers(0, calls - 1)), draw(st.integers(0, 40)),
+             draw(st.sampled_from([-1, 1, 2, 40]))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_faulted_cells(per_x=True))
+def test_radius_law_matches_list_reference_under_faults(drawn):
+    args, seed, fault = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        real = cc4.hidden_activations
+        mp.setattr(cc4, "hidden_activations", _faulty(real, *fault))
+        got = checks.check_radius_law(*args, Lcg64(seed))
+        mp.setattr(cc4, "hidden_activations", _faulty(real, *fault))
+        assert got == _radius_law_by_lists(*args, Lcg64(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_faulted_cells(per_x=False))
+def test_training_reproduction_matches_list_reference_under_faults(drawn):
+    args, seed, fault = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        real = cc4.infer
+        mp.setattr(cc4, "infer", _faulty(real, *fault))
+        got = checks.check_training_reproduction(*args, Lcg64(seed))
+        mp.setattr(cc4, "infer", _faulty(real, *fault))
+        assert got == _training_reproduction_by_lists(*args, Lcg64(seed))
+
+
+@pytest.mark.parametrize("radius, fault", [
+    (0, ("none", 0, 0, 0)), (12, ("none", 0, 0, 0)),
+    # neuron 0, the top bit of the last x's lane
+    (0, ("flip", 4095, 31, 0)), (12, ("flip", 4095, 31, 0)),
+])
+def test_radius_law_at_the_lane_limits(radius, fault):
+    """Width 12, 32 samples and 8 output bits, the grid's outer bounds: the
+    first set fills every flag lane, and its sums reach -11 at r = 0 (on each
+    anchor's complement) and 13 at r = 12 (on each anchor)."""
+    seed = next(seed for seed in range(1000) if 1 + Lcg64(seed).next_below(32) == 32)
+    args = (12, radius, 2, 32, 8)
+    with pytest.MonkeyPatch.context() as mp:
+        real = cc4.hidden_activations
+        mp.setattr(cc4, "hidden_activations", _faulty(real, *fault))
+        got = checks.check_radius_law(*args, Lcg64(seed))
+        mp.setattr(cc4, "hidden_activations", _faulty(real, *fault))
+        assert got == _radius_law_by_lists(*args, Lcg64(seed))
+    assert got.passed == (fault[0] == "none")
 
 
 def _break_distance(monkeypatch, broken):

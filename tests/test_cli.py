@@ -291,18 +291,23 @@ class TestTrainPredictEval:
         code, out, _ = run(capsys, "eval", "--model", str(model), "--data", str(data))
         assert (code, out.split("\n")[:2]) == (0, ["samples\t3", "exact_matches\t3"])
 
-    def test_eval_rejects_output_width_mismatch(self, capsys, tmp_path):
+    def test_eval_takes_the_class_count_from_the_model(self, capsys, tmp_path):
+        """Labels that stop below m - 1 or skip a class still evaluate, as
+        m-bit words: the model's classes, not the file's."""
         model = tmp_path / "m.cc4"
-        data = tmp_path / "two.csv"
-        data.write_text("angle,label\n3,0\n4,1\n")
         run(capsys, "train", "--data", ANGLES, "--radius", "0",
             "--bins", "4", "--length", "4", "--out", str(model))
-        code, out, err = run(capsys, "eval", "--model", str(model),
-                             "--data", str(data))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "output width 2 != model output count 4" in err
+        for rows, exact, classes in [
+            ("3,0\n4,1\n", 0, ["0100\t0/1", "1000\t0/1"]),  # x=3 is class 2, x=4 class 3
+            ("1,0\n2,1\n", 2, ["0100\t1/1", "1000\t1/1"]),
+            ("1,0\n3,2\n", 2, ["0010\t1/1", "1000\t1/1"]),  # class 1 missing
+        ]:
+            data = tmp_path / "held_out.csv"
+            data.write_text("angle,label\n" + rows)
+            assert run(capsys, "eval", "--model", str(model), "--data", str(data)) == (
+                0, "".join(f"{line}\n" for line in [
+                    "samples\t2", f"exact_matches\t{exact}", f"accuracy\t{exact / 2:.4f}",
+                    "no_decision\t0", *(f"class\t{c}" for c in classes)]), "")
 
     def test_eval_label_past_class_count_names_its_row(self, capsys, tmp_path):
         model = tmp_path / "m.cc4"

@@ -238,6 +238,14 @@ class TestQuantizeEncode:
         samples = quantize_encode(ds, QuantizationSpec(4, 4))
         assert str(samples[2].output) == "0010"
 
+    def test_labels_one_hot_at_a_given_class_count(self):
+        # a held-out set may skip a class and stop below the model's last one
+        ds = parse_dataset("a,label\n1,0\n2,2\n", dense=False)
+        samples = quantize_encode(ds, QuantizationSpec(4, 4), classes=5)
+        assert [str(s.output) for s in samples] == ["10000", "00100"]
+        with pytest.raises(ValueError, match="missing \\[1\\]"):
+            parse_dataset("a,label\n1,0\n2,2\n")
+
     def test_one_hot_family(self):
         ds = parse_dataset("a,label\n1,0\n2,1\n3,2\n4,3\n")
         samples = quantize_encode(ds, QuantizationSpec(4, 4, "one_hot"))
