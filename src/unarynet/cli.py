@@ -189,8 +189,11 @@ def _cmd_eval(args) -> int:
     if row:  # before encoding, whose one-hot codec error would not name the row
         raise ValueError(f"{args.data}: row {row}: label {ds.rows[row - 1][1]} >= "
                          f"{net.output_count}, the class count of {args.model}")
-    samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q,
-                                      clamp=args.clamp, classes=net.output_count)
+    try:
+        samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q,
+                                          clamp=args.clamp, classes=net.output_count)
+    except ValueError as e:  # a value outside the model's range, named by row
+        raise ValueError(f"{args.data}: {e}") from None
     report = dataset.evaluate(net, samples)
     for line in report.lines():
         print(line)
@@ -198,7 +201,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from . import codes, dataset
+    from . import cc4, codes, dataset
     if args.r_min < 0 or args.r_max < args.r_min:
         raise ValueError(f"bad radius range {args.r_min}..{args.r_max}")
     if args.holdout_every is not None and args.holdout_every < 2:
@@ -215,21 +218,21 @@ def _cmd_sweep(args) -> int:
     else:
         bins = args.bins
     length = args.length if args.length is not None else bins
+    # before the width check, so that a bad --bins or --length is named as such
+    q = dataset.QuantizationSpec(bins, length, _family_key(args.family))
     width = length * len(ds.feature_names)
     # as the radii bound in checks._BOUNDS: a larger ball covers no more words
     if args.r_max > width:
         raise ValueError(f"--r-max {args.r_max} exceeds the pattern width {width} "
                          f"(features x length = {len(ds.feature_names)} x {length})")
-    q = dataset.QuantizationSpec(bins, length, _family_key(args.family))
-    samples = dataset.quantize_encode(ds, q)
-    eval_samples = None
+    samples = target = dataset.quantize_encode(ds, q)
     if args.holdout_every is not None:
-        eval_samples = samples[::args.holdout_every]
+        target = samples[::args.holdout_every]
         samples = [s for i, s in enumerate(samples) if i % args.holdout_every]
-        if not samples or not eval_samples:
+        if not samples:
             raise ValueError("holdout split left an empty set")
-    reports = dataset.sweep_radius(
-        samples, list(range(args.r_min, args.r_max + 1)), eval_samples)
+    reports = dataset.sweep_radius(cc4.train(samples, args.r_min),
+                                   list(range(args.r_min, args.r_max + 1)), target)
     sys.stdout.write(dataset.sweep_table(reports, width))
     return 0
 

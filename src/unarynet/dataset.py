@@ -8,10 +8,10 @@ then integer fields separated by commas, no quoting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bitvec import BitWord
-from .cc4 import CC4Network, TrainingSample, _lines, _quote, infer, train
+from .cc4 import CC4Network, TrainingSample, _lines, _quote, infer
 from .codes import MAX_LENGTH, encode_fixed, encode_one_hot
 
 QUANT_FAMILIES = ("fixed", "one_hot")
@@ -225,17 +225,13 @@ def hamming_ball_volume(width: int, radius: int) -> int:
     return sum(math.comb(width, d) for d in range(min(radius, width) + 1))
 
 
-def sweep_radius(samples: list[TrainingSample], radii: list[int],
-                 eval_samples: list[TrainingSample] | None = None) -> list[tuple[int, EvalReport]]:
-    """(r, evaluate(train(samples, r), target)) for each radius r.
-
-    The target is eval_samples when given (a held-out split, which must not
-    be empty), otherwise the training samples themselves.
-    """
+def sweep_radius(net: CC4Network, radii: list[int],
+                 samples: list[TrainingSample]) -> list[tuple[int, EvalReport]]:
+    """(r, evaluate(net at radius r, samples)) for each r. Training stores each
+    sample whole and r enters only the fire test, so one net serves every r."""
     if not radii:
         raise ValueError("empty radius range")
-    target = samples if eval_samples is None else eval_samples
-    return [(r, evaluate(train(samples, r), target)) for r in radii]
+    return [(r, evaluate(replace(net, radius=r), samples)) for r in radii]
 
 
 def sweep_table(reports: list[tuple[int, EvalReport]], width: int) -> str:

@@ -434,7 +434,8 @@ class TestEvalEncodesAsTrained:
         data.write_text("angle,label\n12,0\n22,1\n32,2\n42,3\n")
         code, out, err = run(capsys, "eval", "--model", model, "--data", str(data))
         assert (code, out) == (1, "")
-        assert err == "error: row 1, feature 'angle': value 12 outside declared range 1..4\n"
+        assert err == (f"error: {data}: row 1, feature 'angle': "
+                       "value 12 outside declared range 1..4\n")
         # clamped, every row falls in the last bin: only the class-3 row is right
         code, out, err = run(capsys, "eval", "--model", model, "--data", str(data), "--clamp")
         assert (code, out, err) == (0, self.report(1, 0, [1, 0, 0, 0]), "")
@@ -556,6 +557,18 @@ class TestSweep:
         assert err == ("error: --r-max 10000000000 exceeds the pattern width 4 "
                        "(features x length = 1 x 4)\n")
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--bins", "-3"], "bins must be >= 1"),
+        (["--bins", "0"], "bins must be >= 1"),
+        (["--bins", "4", "--length", "0"], "length 0 < bins 4"),
+    ], ids=["bins-negative", "bins-zero", "length-below-bins"])
+    def test_bad_quantizer_is_named_before_the_width_bound(self, capsys, tmp_path,
+                                                          flags, message):
+        data = tmp_path / "t.csv"
+        data.write_text("a,label\n1,0\n2,1\n3,0\n", encoding="ascii")
+        assert run(capsys, "sweep", "--data", str(data), "--r-min", "0", "--r-max", "1",
+                   *flags) == (1, "", f"error: {message}\n")
 
     def test_default_bins_capped(self, tmp_path):
         # bins would default to the 10^8 + 1 values of feature a, and encoding

@@ -436,18 +436,39 @@ class TestEvaluate:
         assert "accuracy\t1.0000" in lines
 
 
+def _segment_samples(family, length, features, classes):
+    """Samples whose inputs concatenate `features` fixed or one-hot segments of
+    `length` bits and whose outputs are any words of `classes` bits."""
+    encode = encode_fixed if family == "fixed" else lambda v, n: encode_one_hot(v + 1, n)
+    row = st.tuples(st.lists(st.integers(0, length - 1), min_size=features, max_size=features),
+                    st.integers(0, (1 << classes) - 1))
+    return st.lists(row, min_size=1, max_size=8).map(lambda rows: [
+        TrainingSample(BitWord.from_string("".join(str(encode(v, length)) for v in values)),
+                       BitWord(label, classes)) for values, label in rows])
+
+
+@st.composite
+def _sweep_cases(draw, held_out):
+    family, length = draw(st.sampled_from(QUANT_FAMILIES)), draw(st.integers(1, 6))
+    features, classes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    training = draw(_segment_samples(family, length, features, classes))
+    target = draw(_segment_samples(family, length, features, classes)) if held_out else training
+    radius = st.integers(0, length * features + 1)
+    return training, target, draw(radius), draw(st.lists(radius, min_size=1, max_size=6))
+
+
 class TestSweep:
     def test_radius_zero_row_has_full_accuracy(self):
         ds = load_dataset(str(ANGLES_CSV))
         samples = quantize_encode(ds, QuantizationSpec(4, 4))
-        rows = sweep_radius(samples, [0, 1, 2])
+        rows = sweep_radius(train(samples, 0), [0, 1, 2], samples)
         assert rows[0][1].accuracy == 1.0
         assert rows[0][1].no_decision == 0
 
     def test_ball_volume_strictly_increases_until_saturation(self):
         ds = load_dataset(str(ANGLES_CSV))
         samples = quantize_encode(ds, QuantizationSpec(4, 4))
-        rows = sweep_radius(samples, list(range(7)))
+        rows = sweep_radius(train(samples, 0), list(range(7)), samples)
         volumes = [int(line.split("\t")[-1]) for line in sweep_table(rows, 4).splitlines()[1:]]
         for a, b in zip(volumes, volumes[1:]):
             assert b >= a
@@ -455,32 +476,32 @@ class TestSweep:
         assert volumes[4] == volumes[5] == volumes[6] == 16
 
     @pytest.mark.parametrize("held_out", [False, True])
-    def test_each_report_is_evaluate_of_train(self, held_out):
-        ds = load_dataset(str(ANGLES_CSV))
-        samples = quantize_encode(ds, QuantizationSpec(4, 4))
-        train_on, target = (samples[1:], samples[:1]) if held_out else (samples, samples)
-        radii = [3, 0, 2]
-        got = sweep_radius(train_on, radii, target if held_out else None)
-        assert got == [(r, evaluate(train(train_on, r), target)) for r in radii]
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_report_is_evaluate_of_train(self, held_out, data):
+        # the oracle trains one network per radius, as sweep_radius once did
+        training, target, trained_at, radii = data.draw(_sweep_cases(held_out))
+        got = sweep_radius(train(training, trained_at), radii, target)
+        assert got == [(r, evaluate(train(training, r), target)) for r in radii]
 
     def test_empty_radius_range_rejected(self):
         with pytest.raises(ValueError, match="empty radius range"):
-            sweep_radius([TrainingSample(bw("01"), bw("1"))], [])
+            sweep_radius(train([TrainingSample(bw("01"), bw("1"))], 0), [], [])
 
     def test_holdout_split(self):
         ds = load_dataset(str(ANGLES_CSV))
         samples = quantize_encode(ds, QuantizationSpec(4, 4))
-        rows = sweep_radius(samples[:2], [0], eval_samples=samples[2:])
+        rows = sweep_radius(train(samples[:2], 0), [0], samples[2:])
         assert rows[0][1].total == 2
 
     def test_empty_eval_set_rejected(self):
-        samples = [TrainingSample(bw("01"), bw("1"))]
+        net = train([TrainingSample(bw("01"), bw("1"))], 0)
         with pytest.raises(ValueError, match="no samples"):
-            sweep_radius(samples, [0], eval_samples=[])
+            sweep_radius(net, [0], [])
 
     def test_table_rendering(self):
-        rows = sweep_radius([TrainingSample(bw("0101"), bw("1"))], [0, 1])
-        text = sweep_table(rows, 4)
+        samples = [TrainingSample(bw("0101"), bw("1"))]
+        text = sweep_table(sweep_radius(train(samples, 0), [0, 1], samples), 4)
         assert text.startswith("r\taccuracy\texact\tno_decision\tball_volume\n")
         assert "0\t1.0000\t1/1\t0\t1" in text
 
