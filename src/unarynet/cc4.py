@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -28,6 +29,13 @@ from .bitvec import _BIT_VALUES, BitWord
 MODEL_MAGIC = "CC4"
 
 _SIGNS = {"1", "-1"}
+
+# a band of at most this many anchors skips the block filter, whose fixed cost
+# is about that many exact tests at n = 256
+_PLAIN_BAND = 128
+
+# _POPCOUNT[v]: the number of 1s in byte v
+_POPCOUNT = bytes(v.bit_count() for v in range(256))
 
 # _BYTE_SIGNS[v]: the eight weights of byte v, most significant bit first
 _BYTE_SIGNS = [" ".join("1" if v >> k & 1 else "-1" for k in range(7, -1, -1))
@@ -82,12 +90,35 @@ class CC4Network:
     def _by_weight(self) -> tuple[list[int], tuple[int, ...], tuple[int, ...], bytes]:
         """The anchor weights, the anchors and their neuron indices, all in
         ascending weight order, and an all-"0" ASCII word of h characters.
-        Derived, so not a field: ==, hash, repr and the model text do not see
-        it. Built on the first query."""
+        Derived, so not a field: ==, hash, repr and the model text see neither
+        it nor _blocks. Built on the first query, which never builds _blocks:
+        for a one-query process (predict) that costs more than it saves."""
         weights = [anchor.bit_count() for anchor in self.anchors]
         order = tuple(sorted(range(len(weights)), key=weights.__getitem__))
         return ([weights[i] for i in order], tuple([self.anchors[i] for i in order]),
                 order, b"0" * len(order))
+
+    @cached_property
+    def _blocks(self) -> tuple[int, int, list[tuple[int, bytes]], list[bytes]] | None:
+        """_near's index. Words are cut into blocks of size bytes: at most 8
+        up to 248 bytes, none over 31. columns holds (j, col) for the block at
+        byte j of _block_weights' lanes, col[k] its weight in the k-th anchor
+        by weight. A block with one weight in every anchor (as one-hot
+        segments filling whole blocks) tells none apart and is left out; with
+        none left the index is None. tables[w][u] = min(|u - w|, 255 //
+        len(columns)), so one anchor's terms add up within a byte."""
+        nbytes = -(-self.pattern_width // 8)
+        size = min(-(-nbytes // 8), 31)
+        stride = -(-nbytes // size) * size
+        lanes = _block_weights(self._by_weight[1], stride, size)
+        columns = [(j, col) for j in range(0, stride, size)
+                   if (col := lanes[j::stride]).count(col[0]) < len(col)]
+        if not columns:
+            return None
+        clip = bytes(min(u, 255 // len(columns)) for u in range(256))
+        tables = [(bytes(range(w, 0, -1)) + bytes(range(256 - w))).translate(clip)
+                  for w in range(8 * size + 1)]
+        return stride, size, columns, tables
 
 
 def train(samples: list[TrainingSample], radius: int) -> CC4Network:
@@ -114,23 +145,67 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
+def _block_weights(values, stride: int, size: int) -> bytes:
+    """Byte i * stride + j * size is the weight of values[i]'s bytes j * size
+    to (j + 1) * size - 1, least significant first: the byte popcounts, as
+    one int, plus itself shifted by 1 to size - 1 bytes. At most 248, so no
+    byte lane carries."""
+    pops = b"".join([v.to_bytes(stride, "little") for v in values]).translate(_POPCOUNT)
+    x = int.from_bytes(pops, "little")
+    return sum(x >> s for s in range(0, 8 * size, 8)).to_bytes(len(pops), "little")
+
+
+def _near(blocks, query: int, band: range, radius: int) -> Iterable[int]:
+    """The k of the band that the block weights do not place farther than
+    radius from the query. A block's weight difference is at most the
+    distance within it, so sum_j |w_j(x) - w_j(a)| <= d(x, a), clipped or
+    not; the terms add in one byte lane per anchor. Few kept k are found with
+    bytes.find, so only they cost Python steps."""
+    stride, size, columns, tables = blocks
+    lo, hi = band.start, band.stop
+    lanes = _block_weights((query,), stride, size)
+    total = 0
+    for j, column in columns:
+        total += int.from_bytes(column[lo:hi].translate(tables[lanes[j]]), "little")
+    r = min(radius, 255)  # a lane holds at most 255
+    flags = total.to_bytes(hi - lo, "little").translate(b"\1" * (r + 1) + bytes(255 - r))
+    return compress(band, flags) if 4 * flags.count(1) > len(flags) else _ones(flags, lo)
+
+
+def _ones(flags: bytes, lo: int) -> Iterator[int]:
+    """lo + k for each k where flags[k] is 1."""
+    at = flags.find(1)
+    while at >= 0:
+        yield lo + at
+        at = flags.find(1, at + 1)
+
+
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
     """Bit i is 1 iff d(x, anchor i) <= r.
 
     |w(x) - w(a)| <= d(x, a) for Hamming weights w, so only the anchors whose
-    weight lies in [w(x) - r, w(x) + r] are tested, in one pass that writes
-    each fired neuron's character into an ASCII word: linear in h however
-    many fire."""
+    weight lies in [w(x) - r, w(x) + r] can fire. After a network's first
+    query, a band of more than _PLAIN_BAND anchors is narrowed by the
+    weights of blocks of the words (_near): their summed differences bound
+    d(x, a) from below, and equal it (below the clip) when each block is one
+    thermometer segment, whose weight is the value it codes. The anchors
+    left are tested in one pass that writes each fired neuron's character
+    into an ASCII word: linear in h however many fire."""
     if x.width != net.pattern_width:
         raise ValueError(
             f"query length {x.width} != pattern width {net.pattern_width}"
         )
     query, radius = x.value, net.radius
-    weights, anchors, order, zeros = net._by_weight
+    built = net.__dict__.get("_by_weight")  # None on the network's first query
+    weights, anchors, order, zeros = built or net._by_weight
     weight = query.bit_count()
     lo = bisect_left(weights, weight - radius)
+    hi = bisect_right(weights, weight + radius, lo)
+    band = range(lo, hi)
+    if hi - lo > _PLAIN_BAND and built and (blocks := net._blocks):
+        band = _near(blocks, query, band, radius)
     word = bytearray(zeros)  # neuron i at index i
-    for k in range(lo, bisect_right(weights, weight + radius, lo)):
+    for k in band:
         if (query ^ anchors[k]).bit_count() <= radius:
             word[order[k]] = 49  # "1"
     return BitWord(int(word, 2), len(word))

@@ -192,19 +192,29 @@ def check_metric_axioms(length: int) -> PropertyResult:
             yield raised
         return _cell("metric-axioms", {"len": length}, again())
     fail = partial(PropertyResult, params={"len": length}, passed=False)
-    for i in range(count):
-        for j in range(i, count):
-            if dist[i][j] != dist[j][i]:
-                return fail("metric-symmetry", counterexample=f"a={words[i]},b={words[j]}")
-            if (dist[i][j] == 0) != (i == j):
-                return fail("metric-identity",
-                            counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
-    for i, row in enumerate(dist):
-        for j, d in enumerate(row):
-            if not 0 <= d <= length:
-                return fail("metric-range", counterexample=f"a={words[i]},b={words[j]},d={d}")
+    # Whole-matrix tests decide symmetry, identity and range: the distances
+    # row by row, one byte each, their transpose, diagonal, zeros and values.
+    # The pair loops run only to name the first failure.
+    try:
+        flat = b"".join(map(bytes, dist))
+    except ValueError:  # a distance outside 0..255 fails the range test
+        flat = b""
+    if not (flat and flat.count(0) == flat[::count + 1].count(0) == count
+            and b"".join([flat[j::count] for j in range(count)]) == flat):
+        for i in range(count):
+            for j in range(i, count):
+                if dist[i][j] != dist[j][i]:
+                    return fail("metric-symmetry", counterexample=f"a={words[i]},b={words[j]}")
+                if (dist[i][j] == 0) != (i == j):
+                    return fail("metric-identity",
+                                counterexample=f"a={words[i]},b={words[j]},d={dist[i][j]}")
+    if not flat or flat.translate(None, bytes(range(length + 1))):
+        for i, row in enumerate(dist):
+            for j, d in enumerate(row):
+                if not 0 <= d <= length:
+                    return fail("metric-range", counterexample=f"a={words[i]},b={words[j]},d={d}")
     top = 0x80 * (ones := int.from_bytes(b"\1" * count, "little"))  # a top bit per byte
-    rows = [int.from_bytes(bytes(row), "little") for row in dist]
+    rows = [int.from_bytes(flat[k:k + count], "little") for k in range(0, len(flat), count)]
     for i, (r_a, di) in enumerate(zip(rows, dist)):
         lifted = [r_a + (127 - d) * ones for d in range(length + 1)]  # by d(a, b)
         hits = map(top.__and__, map(sub, map(lifted.__getitem__, di), rows))

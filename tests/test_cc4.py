@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 import tracemalloc
 from math import comb
@@ -6,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unarynet import cc4
 from unarynet.bitvec import BitWord, binary_encode, hamming_distance
 from unarynet.cc4 import (
     CC4Network,
@@ -269,6 +271,126 @@ class TestInference:
             radius=4,
         )
         assert infer(net, bw("0000")) == bw("1")
+
+
+def block_layout(width):
+    """(blocks, bits per block) of the block filter: words of at most 248
+    bytes are cut into at most 8 blocks, and no block is over 31 bytes."""
+    nbytes = -(-width // 8)
+    size = min(-(-nbytes // 8), 31)
+    return -(-nbytes // size), 8 * size
+
+
+def flipped(word, width, count, rnd, upward=None):
+    """word with count of its bits flipped: only 0s (upward), only 1s
+    (downward), or any, as far as the word has them."""
+    spots = range(width) if upward is None else [
+        p for p in range(width) if (word >> p & 1) != upward]
+    return word ^ sum(1 << p for p in rnd.sample(spots, min(count, len(spots))))
+
+
+class TestBlockFilter:
+    """The fire test after a network's first query, where a weight band of
+    more than 128 anchors goes through the block filter."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_filtered_fire_test_matches_distance(self, data):
+        width = data.draw(st.sampled_from([8, 37, 256, 1000, 2500]))
+        blocks, bits = block_layout(width)
+        radius = data.draw(st.sampled_from([0, 255 // blocks - 1, 255 // blocks,
+                                            255 // blocks + 1, width, width + 3])
+                           | st.integers(0, width))
+        h = data.draw(st.integers(129, 600))
+        kind = data.draw(st.sampled_from(["clustered", "equal-weight", "one-hot",
+                                          "segments", "duplicates"]))
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))  # bulk draws
+        full = (1 << width) - 1
+        if kind == "clustered":  # a few centres, each with anchors around r from it
+            centres = [rnd.getrandbits(width) for _ in range(3)]
+            anchors = [flipped(rnd.choice(centres), width, rnd.randint(0, radius + 2), rnd)
+                       for _ in range(h)]
+        elif kind == "equal-weight":
+            weight = rnd.randint(1, min(width, 40))
+            anchors = [sum(1 << p for p in rnd.sample(range(width), weight)) for _ in range(h)]
+        elif kind == "one-hot":  # one 1 per segment: every anchor has one weight
+            seg = data.draw(st.sampled_from([bits, 1 + rnd.randrange(min(width, 12))]))
+            anchors = [sum(1 << rnd.randrange(p, min(p + seg, width))
+                           for p in range(0, width, seg)) for _ in range(h)]
+        elif kind == "segments":  # a thermometer segment in each block
+            anchors = [sum(((1 << rnd.randint(0, bits)) - 1) << p for p in range(0, width, bits))
+                       & full for _ in range(h)]
+        else:
+            distinct = [rnd.getrandbits(width) for _ in range(rnd.randint(1, 5))]
+            anchors = [rnd.choice(distinct) for _ in range(h)]
+        if kind != "one-hot":  # weights 0 and n: the widest block differences
+            anchors[:2] = [0, full]
+        net = CC4Network(radius, width, 1, tuple(anchors), (1,) * h)
+        # the first query takes the plain band; the rest may be filtered. Flips
+        # all one way make the block bound exact, so d = r and d = r + 1 test
+        # its edge
+        queries = [rnd.getrandbits(width), 0, full]
+        for anchor in rnd.sample(anchors, 3):
+            near = flipped(anchor, width, radius, rnd, upward=rnd.random() < 0.5)
+            queries += [near, flipped(near, width, 1, rnd), flipped(anchor, width, radius, rnd)]
+        for x in queries:
+            want = "".join("01"[(x ^ a).bit_count() <= radius] for a in anchors)
+            assert str(hidden_activations(net, BitWord(x, width))) == want
+
+    def test_survivors_are_the_fired_on_aligned_thermometer_segments(self):
+        # 8 features of 32-bit thermometer segments: each segment is a block,
+        # so the summed weight differences are the distance, and below the
+        # clip (31) the filter keeps exactly the anchors that fire
+        rng = Lcg64(19)
+        rows = [[rng.next_below(33) for _ in range(8)] for _ in range(400)]
+        net = CC4Network(20, 256, 1, tuple(thermometer(row, 32) for row in rows), (1,) * 400)
+        weights, anchors, order, _ = net._by_weight
+        for row in rows[:20]:
+            x = thermometer([min(v + rng.next_below(4), 32) for v in row], 32)
+            band = range(len(anchors))
+            kept = [order[k] for k in cc4._near(net._blocks, x, band, net.radius)]
+            fired = [i for i, a in enumerate(net.anchors) if (x ^ a).bit_count() <= 20]
+            assert sorted(kept) == fired
+
+    def test_first_query_builds_no_block_index(self):
+        # a process that asks one query does not pay for the block index
+        rng = Lcg64(5)
+        anchors = tuple(rng.next_below(1 << 64) for _ in range(300))
+        net = CC4Network(64, 64, 1, anchors, (1,) * 300)  # r = n: one band of all 300
+        x = BitWord(anchors[0], 64)
+        assert hidden_activations(net, x).value == (1 << 300) - 1
+        assert "_blocks" not in vars(net)
+        assert hidden_activations(net, x).value == (1 << 300) - 1
+        assert vars(net)["_blocks"] is not None
+
+    def test_blocks_shared_by_every_anchor_leave_no_index(self):
+        # one-hot segments filling whole blocks: every anchor has weight 1 in
+        # every block, so the block weights tell no anchors apart
+        rng = Lcg64(6)
+        anchors = tuple(sum(1 << 32 * f + rng.next_below(32) for f in range(8))
+                        for _ in range(300))
+        net = CC4Network(4, 256, 1, anchors, (1,) * 300)
+        for x in (anchors[0], anchors[1] ^ 3, anchors[2]):
+            want = "".join("01"[(x ^ a).bit_count() <= 4] for a in anchors)
+            assert str(hidden_activations(net, BitWord(x, 256))) == want
+        assert vars(net)["_blocks"] is None
+
+    def test_huge_radius_from_a_model_file_in_bounded_memory(self):
+        # r = 10^9 must not size the filter's tables
+        rng = Lcg64(8)
+        anchors = tuple(rng.next_below(1 << 16) for _ in range(200))
+        text = save_network(CC4Network(10**9, 16, 1, anchors, (1,) * 200))
+        net = load_network(text)
+        assert net.radius == 10**9
+        tracemalloc.start()
+        try:
+            fired = [hidden_activations(net, BitWord(a, 16)).value for a in anchors[:5]]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fired == [(1 << 200) - 1] * 5
+        assert vars(net)["_blocks"] is not None
+        assert peak < 1 << 20
 
 
 class TestComplementSymmetry:
