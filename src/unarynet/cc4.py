@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
-from .bitvec import _BIT_VALUES, BitWord
+from .bitvec import BitWord
 
 MODEL_MAGIC = "CC4"
 
@@ -40,6 +40,9 @@ _POPCOUNT = bytes(v.bit_count() for v in range(256))
 # _BYTE_SIGNS[v]: the eight weights of byte v, most significant bit first
 _BYTE_SIGNS = [" ".join("1" if v >> k & 1 else "-1" for k in range(7, -1, -1))
                for v in range(256)]
+
+# _BIT_TEXT[k][v]: "1" if byte v has bit k set, else "0"
+_BIT_TEXT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
 
 
 @dataclass(frozen=True)
@@ -90,9 +93,9 @@ class CC4Network:
     def _by_weight(self) -> tuple[list[int], tuple[int, ...], tuple[int, ...], bytes]:
         """The anchor weights, the anchors and their neuron indices, all in
         ascending weight order, and an all-"0" ASCII word of h characters.
-        Derived, so not a field: ==, hash, repr and the model text see neither
-        it nor _blocks. Built on the first query, which never builds _blocks:
-        for a one-query process (predict) that costs more than it saves."""
+        Derived, as are _blocks and _columns, so not a field: ==, hash, repr
+        and the model text see none. Built on the first query, which never
+        builds _blocks: for one query (predict) that costs more than it saves."""
         weights = [anchor.bit_count() for anchor in self.anchors]
         order = tuple(sorted(range(len(weights)), key=weights.__getitem__))
         return ([weights[i] for i in order], tuple([self.anchors[i] for i in order]),
@@ -119,6 +122,15 @@ class CC4Network:
         tables = [(bytes(range(w, 0, -1)) + bytes(range(256 - w))).translate(clip)
                   for w in range(8 * size + 1)]
         return stride, size, columns, tables
+
+    @cached_property
+    def _columns(self) -> list[int]:
+        """Output bit o's label column, o = m - 1 first: bit h - 1 - i is bit
+        o of labels[i], as in the fire word. The model file's output rows."""
+        size = -(-self.output_count // 8)
+        lanes = b"".join([label.to_bytes(size, "big") for label in self.labels])
+        return [int(lanes[size - 1 - o // 8::size].translate(_BIT_TEXT[o % 8]), 2)
+                for o in reversed(range(self.output_count))]
 
 
 def train(samples: list[TrainingSample], radius: int) -> CC4Network:
@@ -212,14 +224,13 @@ def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
 
 
 def infer(net: CC4Network, x: BitWord) -> BitWord:
-    """Majority of the fired labels per output bit; all-zero means no region
-    claimed the query or its votes tied."""
-    flags = str(hidden_activations(net, x)).encode().translate(_BIT_VALUES)
-    fired = list(compress(net.labels, flags))
+    """Output bit o is 2 * |F & C_o| > |F| for the fire word F and label
+    column C_o, a strict majority: all-zero means no ball or a tied vote."""
+    fired = hidden_activations(net, x).value
+    count = fired.bit_count()
     value = 0
-    for shift in range(net.output_count - 1, -1, -1):
-        votes = sum(label >> shift & 1 for label in fired)
-        value = value << 1 | (2 * votes > len(fired))
+    for column in net._columns:
+        value = value << 1 | (2 * (fired & column).bit_count() > count)
     return BitWord(value, net.output_count)
 
 
@@ -248,8 +259,7 @@ def save_network(net: CC4Network) -> str:
     lines = [f"{MODEL_MAGIC} {2 if q else 1} {net.input_width} {h} {m} {r} {q}".rstrip(" ")]
     for anchor in net.anchors:
         lines.append(f"{_sign_row(anchor, width)} {r - anchor.bit_count() + 1}")
-    label_bits = [format(label, f"0{m}b") for label in net.labels]
-    lines.extend(_sign_row(int("".join(column), 2), h) for column in zip(*label_bits))
+    lines.extend(_sign_row(column, h) for column in net._columns)
     return "\n".join(lines) + "\n"
 
 

@@ -249,17 +249,54 @@ class TestInference:
                 if radius == nearest - 1:
                     assert fired.value == 0
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_infer_is_the_strict_majority_of_the_ball(self, data):
+        # label widths on both sides of one and two bytes (the column lanes),
+        # and anchors from a small pool so that they repeat, with the same or
+        # contradictory labels
+        m = data.draw(st.sampled_from([1, 7, 8, 9, 15, 16, 17]) | st.integers(1, 20))
+        h = data.draw(st.integers(1, 8) | st.integers(1, 300))
+        width = data.draw(st.integers(1, 12) | st.integers(1, 200))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        pool = [rnd.getrandbits(width) for _ in range(data.draw(st.integers(1, 8)))]
+        anchors = [rnd.choice(pool) for _ in range(h)]
+        labels = [rnd.getrandbits(m) for _ in range(h)]
+        if data.draw(st.booleans()):
+            # neuron k + 1 repeats neuron k with the opposite label: every vote
+            # that the pairs alone decide ties
+            for k in range(1, h, 2):
+                anchors[k], labels[k] = anchors[k - 1], labels[k - 1] ^ (1 << m) - 1
+        queries = [0, (1 << width) - 1, anchors[0], anchors[-1] ^ 1, rnd.getrandbits(width)]
+        # r = 0, past n (all fire), any, and just short of the first query's
+        # nearest anchor (none fire)
+        nearest = min((queries[0] ^ a).bit_count() for a in anchors)
+        radius = data.draw(st.sampled_from(
+            [0, width, width + 3, max(nearest - 1, 0)]) | st.integers(0, width))
+        net = CC4Network(radius, width, m, tuple(anchors), tuple(labels))
+        for x in queries:
+            fired = [label for anchor, label in zip(anchors, labels)
+                     if (x ^ anchor).bit_count() <= radius]
+            want = sum(1 << o for o in range(m)
+                       if 2 * sum(label >> o & 1 for label in fired) > len(fired))
+            got = infer(net, BitWord(x, width))
+            assert (got.value, got.width) == (want, m), (x, fired)
+
     def test_weight_index_is_invisible(self):
         net = train(Lcg64(3).next_training_set(8, 6, 3), 2)
         fresh = dataclasses.replace(net)
-        infer(net, BitWord(net.anchors[0], net.pattern_width))
-        assert vars(net).keys() - vars(fresh).keys() == {"_by_weight"}
+        x = BitWord(net.anchors[0], net.pattern_width)
+        hidden_activations(net, x)
+        assert "_columns" not in vars(net)
+        infer(net, x)
+        assert vars(net).keys() - vars(fresh).keys() == {"_by_weight", "_columns"}
         assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
-        assert save_network(net) == save_network(fresh)
+        assert save_network(net) == save_network(dataclasses.replace(net))
         assert dataclasses.fields(net) == dataclasses.fields(fresh)
         assert [f.name for f in dataclasses.fields(CC4Network)] == [
             "radius", "pattern_width", "output_count", "anchors", "labels", "quantizer"]
-        assert load_network(save_network(net)) == net
+        loaded = load_network(save_network(net))
+        assert loaded == net and "_columns" not in vars(loaded)
 
     def test_contradictory_duplicate_inputs_tie_to_zero(self):
         net = train([sample("1010", "1"), sample("1010", "0")], radius=1)
@@ -457,7 +494,7 @@ class TestSerialization:
     def test_save_matches_per_bit_reference(self, data):
         # widths on both sides of whole bytes, drawn apart from the rest
         width = data.draw(st.one_of(st.integers(1, 300), st.sampled_from([7, 8, 9, 257])))
-        h, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 9))
+        h, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 20))
         radius = data.draw(st.integers(0, width))
         anchors = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=h, max_size=h))
         labels = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=h, max_size=h))
