@@ -85,10 +85,6 @@ class BitWord:
     def reverse(self) -> "BitWord":
         return BitWord(int(str(self)[::-1], 2), self.width)
 
-    def to_int(self) -> int:
-        """Value of the word read as plain binary, leftmost bit most significant."""
-        return self.value
-
     def __len__(self) -> int:
         return self.width
 

@@ -21,7 +21,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
 
 from .bitvec import BitWord
@@ -33,6 +33,10 @@ _SIGNS = {"1", "-1"}
 # a band of at most this many anchors skips the block filter, whose fixed cost
 # is about that many exact tests at n = 256
 _PLAIN_BAND = 128
+
+# the block filter caches its lanes in ints of this many, and adds only those
+# that a query's band overlaps
+_CHUNK = 1024
 
 # _POPCOUNT[v]: the number of 1s in byte v
 _POPCOUNT = bytes(v.bit_count() for v in range(256))
@@ -102,14 +106,15 @@ class CC4Network:
                 order, b"0" * len(order))
 
     @cached_property
-    def _blocks(self) -> tuple[int, int, list[tuple[int, bytes]], list[bytes]] | None:
+    def _blocks(self) -> tuple[int, int, list[tuple[int, bytes]], list[bytes], dict] | None:
         """_near's index. Words are cut into blocks of size bytes: at most 8
         up to 248 bytes, none over 31. columns holds (j, col) for the block at
         byte j of _block_weights' lanes, col[k] its weight in the k-th anchor
         by weight. A block with one weight in every anchor (as one-hot
         segments filling whole blocks) tells none apart and is left out; with
         none left the index is None. tables[w][u] = min(|u - w|, 255 //
-        len(columns)), so one anchor's terms add up within a byte."""
+        len(columns)), so one anchor's terms add up within a byte. The dict
+        is _near's cache: per (j, query weight) at most h lanes, in chunks."""
         nbytes = -(-self.pattern_width // 8)
         size = min(-(-nbytes // 8), 31)
         stride = -(-nbytes // size) * size
@@ -121,7 +126,7 @@ class CC4Network:
         clip = bytes(min(u, 255 // len(columns)) for u in range(256))
         tables = [(bytes(range(w, 0, -1)) + bytes(range(256 - w))).translate(clip)
                   for w in range(8 * size + 1)]
-        return stride, size, columns, tables
+        return stride, size, columns, tables, {}
 
     @cached_property
     def _columns(self) -> list[int]:
@@ -171,16 +176,26 @@ def _near(blocks, query: int, band: range, radius: int) -> Iterable[int]:
     """The k of the band that the block weights do not place farther than
     radius from the query. A block's weight difference is at most the
     distance within it, so sum_j |w_j(x) - w_j(a)| <= d(x, a), clipped or
-    not; the terms add in one byte lane per anchor. Few kept k are found with
-    bytes.find, so only they cost Python steps."""
-    stride, size, columns, tables = blocks
+    not; the terms add in one byte lane per anchor. Block j's terms depend
+    only on the query's weight w there, so they are cached per (j, w), a
+    chunk at a time. Few kept k are found with bytes.find, so only they cost
+    Python steps."""
+    stride, size, columns, tables, cache = blocks
     lo, hi = band.start, band.stop
-    lanes = _block_weights((query,), stride, size)
-    total = 0
+    first, last = lo // _CHUNK, (hi - 1) // _CHUNK + 1
+    weights = _block_weights((query,), stride, size)
+    rows = []
     for j, column in columns:
-        total += int.from_bytes(column[lo:hi].translate(tables[lanes[j]]), "little")
-    r = min(radius, 255)  # a lane holds at most 255
-    flags = total.to_bytes(hi - lo, "little").translate(b"\1" * (r + 1) + bytes(255 - r))
+        w = weights[j]
+        row = cache.get((j, w)) or cache.setdefault((j, w), [None] * -(-len(column) // _CHUNK))
+        for c in range(first, last):
+            if row[c] is None:  # built by the first band that overlaps it
+                lanes = column[c * _CHUNK:(c + 1) * _CHUNK].translate(tables[w])
+                row[c] = int.from_bytes(lanes, "little")
+        rows.append(row[first:last])
+    total = b"".join([sum(chunk).to_bytes(_CHUNK, "little") for chunk in zip(*rows)])
+    r, at = min(radius, 255), lo % _CHUNK  # a lane holds at most 255
+    flags = total[at:at + hi - lo].translate(b"\1" * (r + 1) + bytes(255 - r))
     return compress(band, flags) if 4 * flags.count(1) > len(flags) else _ones(flags, lo)
 
 
@@ -366,6 +381,12 @@ def load_network(text: str) -> CC4Network:
         column = _read_signs(line, h)
         if column is None:
             _row(line, lineno, h)
-        columns.append(format(column, f"0{h}b"))
-    labels = tuple(int("".join(bits), 2) for bits in zip(*columns))
+        columns.append(column)
+    labels = tuple(int("".join(bits), 2) for bits in zip(*[f"{c:0{h}b}" for c in columns]))
+    # a version 2 label is one class: the columns cover every neuron, once
+    if quantizer and (reduce(int.__or__, columns) != (1 << h) - 1
+                      or sum(column.bit_count() for column in columns) != h):
+        i = next(i for i, label in enumerate(labels) if label.bit_count() != 1)
+        raise ValueError(f"hidden row {i + 1} (line {i + 2}): label {labels[i]:0{m}b}"
+                         f" (column {i + 1} of the output rows) is not one-hot")
     return CC4Network(radius, n - 1, m, tuple(anchors), labels, quantizer)

@@ -42,7 +42,7 @@ def _run(number: int, name: str, budget: float, fn) -> None:
 
 def _oracle_distance(a: BitWord, b: BitWord) -> int:
     """Popcount of the XOR of the integer forms; no BitWord arithmetic."""
-    return (a.to_int() ^ b.to_int()).bit_count()
+    return (a.value ^ b.value).bit_count()
 
 
 def test_criterion_1_table_reproduction():
@@ -96,7 +96,7 @@ def test_criterion_4_radius_law():
                 for _ in range(20):
                     samples = rng.next_training_set(10, width, 2)
                     net = train(samples, r)
-                    masks = [s.input.to_int() for s in samples]
+                    masks = [s.input.value for s in samples]
                     for value in range(1 << width):
                         x = binary_encode(value, width)
                         fired = cc4.hidden_activations(net, x)

@@ -58,10 +58,6 @@ class TestBitWord:
         assert bw("0111").reverse() == bw("1110")
         assert bw("0110").reverse().reverse() == bw("0110")
 
-    def test_to_int(self):
-        assert bw("0110").to_int() == 6
-        assert bw("0001").to_int() == 1
-
     def test_hashable(self):
         assert len({bw("01"), bw("01"), bw("10")}) == 2
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from math import comb
 
 import pytest
@@ -283,20 +284,27 @@ class TestInference:
             assert (got.value, got.width) == (want, m), (x, fired)
 
     def test_weight_index_is_invisible(self):
-        net = train(Lcg64(3).next_training_set(8, 6, 3), 2)
-        fresh = dataclasses.replace(net)
-        x = BitWord(net.anchors[0], net.pattern_width)
-        hidden_activations(net, x)
-        assert "_columns" not in vars(net)
-        infer(net, x)
-        assert vars(net).keys() - vars(fresh).keys() == {"_by_weight", "_columns"}
-        assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
-        assert save_network(net) == save_network(dataclasses.replace(net))
-        assert dataclasses.fields(net) == dataclasses.fields(fresh)
+        small = train(Lcg64(3).next_training_set(8, 6, 3), 2)
+        rng = Lcg64(5)  # h = 300 in one weight band: the second query is filtered
+        wide = CC4Network(30, 64, 1, tuple(rng.next_below(1 << 64) for _ in range(300)),
+                          (1,) * 300)
+        for net, index in ((small, set()), (wide, {"_blocks"})):
+            fresh = dataclasses.replace(net)
+            x = BitWord(net.anchors[0], net.pattern_width)
+            hidden_activations(net, x)
+            hidden_activations(net, BitWord(net.anchors[1], net.pattern_width))
+            assert "_columns" not in vars(net)
+            infer(net, x)
+            assert vars(net).keys() - vars(fresh).keys() == {"_by_weight", "_columns"} | index
+            if index:
+                assert vars(net)["_blocks"][-1]  # the filter's cached lanes
+            assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
+            assert save_network(net) == save_network(dataclasses.replace(net))
+            assert dataclasses.fields(net) == dataclasses.fields(fresh)
+            loaded = load_network(save_network(net))
+            assert loaded == net and "_columns" not in vars(loaded)
         assert [f.name for f in dataclasses.fields(CC4Network)] == [
             "radius", "pattern_width", "output_count", "anchors", "labels", "quantizer"]
-        loaded = load_network(save_network(net))
-        assert loaded == net and "_columns" not in vars(loaded)
 
     def test_contradictory_duplicate_inputs_tie_to_zero(self):
         net = train([sample("1010", "1"), sample("1010", "0")], radius=1)
@@ -316,6 +324,19 @@ def block_layout(width):
     nbytes = -(-width // 8)
     size = min(-(-nbytes // 8), 31)
     return -(-nbytes // size), 8 * size
+
+
+def block_weights(word, width):
+    """The weight of each block of the block filter, lowest bits first."""
+    bits = block_layout(width)[1]
+    return tuple((word >> p & (1 << bits) - 1).bit_count() for p in range(0, width, bits))
+
+
+def built_chunks(net):
+    """The chunks of lanes the block filter has built so far, by (j, w, c)."""
+    cache = vars(net)["_blocks"][-1] if vars(net).get("_blocks") else {}
+    return {(j, w, c): chunk for (j, w), row in cache.items()
+            for c, chunk in enumerate(row) if chunk is not None}
 
 
 def flipped(word, width, count, rnd, upward=None):
@@ -373,6 +394,79 @@ class TestBlockFilter:
         for x in queries:
             want = "".join("01"[(x ^ a).bit_count() <= radius] for a in anchors)
             assert str(hidden_activations(net, BitWord(x, width))) == want
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cached_lanes_across_chunks_match_distance(self, data):
+        # h past one and two 1 024-lane chunks, and bands that start and end on
+        # both sides of anchors 1 024 and 2 048 in weight order. The queries
+        # come in order, some with the block weights of the one before, so the
+        # cached lanes are both reused and built
+        width = data.draw(st.sampled_from([37, 64, 256]))
+        blocks, bits = block_layout(width)
+        radius = data.draw(st.sampled_from([255 // blocks - 1, 255 // blocks,
+                                            255 // blocks + 1]) | st.integers(0, width // 4))
+        h = data.draw(st.integers(129, 2600))
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        full = (1 << width) - 1
+        anchors = [sum(((1 << rnd.randint(0, bits)) - 1) << p for p in range(0, width, bits))
+                   & full for _ in range(h)]  # a thermometer segment in each block
+        for k in rnd.sample(range(h), h // 4):  # and some off it, where the bound is loose
+            anchors[k] = flipped(anchors[k], width, rnd.randint(1, 3), rnd)
+        net = CC4Network(radius, width, 1, tuple(anchors), (1,) * h)
+        by_weight = sorted(anchors, key=int.bit_count)
+        queries = [rnd.getrandbits(width)]  # the network's first query is not filtered
+        for k in [1, 1023, 1024, 2047, 2048, rnd.randrange(h), rnd.randrange(h)]:
+            if k < h:  # a band from or to the weight of anchor k, or around it
+                queries += [flipped(by_weight[k], width, radius, rnd, upward=up)
+                            for up in (True, False, None)]
+        twins = set()
+        for x in queries[1:]:  # the same block weights, other words: no chunk to build
+            twin = sum(sum(1 << b for b in rnd.sample(range(p, min(p + bits, width)), w))
+                       for p, w in zip(range(0, width, bits), block_weights(x, width)))
+            twins.add(len(queries))
+            queries += [twin, x]
+        for at, x in enumerate(queries):
+            built = built_chunks(net)
+            want = "".join("01"[(x ^ a).bit_count() <= radius] for a in anchors)
+            assert str(hidden_activations(net, BitWord(x, width))) == want
+            if at in twins or at - 1 in twins:
+                after = built_chunks(net)  # the same ints, not rebuilt
+                assert after.keys() == built.keys() and all(after[k] is built[k] for k in built)
+        if blocks_ := net._blocks:  # a chunk is built where a filtered band overlaps it
+            _, size, columns, _, cache = blocks_
+            weights, overlapped = sorted(a.bit_count() for a in anchors), set()
+            for x in queries[1:]:
+                lo = bisect_left(weights, x.bit_count() - radius)
+                hi = bisect_right(weights, x.bit_count() + radius)
+                if hi - lo > 128:
+                    overlapped |= {(j, block_weights(x, width)[j // size], c) for j, _ in columns
+                                   for c in range(lo // 1024, (hi - 1) // 1024 + 1)}
+            assert built_chunks(net).keys() == overlapped
+            assert len(cache) <= len(columns) * (8 * size + 1)
+            assert all(len(row) == -(-h // 1024) for row in cache.values())
+
+    def test_cached_lanes_grow_with_the_queries_not_the_table(self):
+        # n = 2 500: 11 blocks of 31 bytes with 249 weights each, so lanes for
+        # every (block, weight) would take 11 * 249 * 1 000 bytes; each query
+        # adds at most 11 entries of 1 000 lanes
+        h, width, rnd = 1000, 2500, random.Random(12)
+        anchors = tuple(rnd.getrandbits(width) for _ in range(h))
+        net = CC4Network(width, width, 1, anchors, (1,) * h)  # r = n: one band of all
+        queries = [rnd.getrandbits(width) for _ in range(6)]
+        for x in queries[:2]:  # the second query builds the index
+            hidden_activations(net, BitWord(x, width))
+        _, size, columns, _, cache = net._blocks
+        assert len(columns) == 11 and size == 31 and len(cache) == 11
+        tracemalloc.start()
+        try:
+            fired = [hidden_activations(net, BitWord(x, width)).value for x in queries[2:]]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fired == [(1 << h) - 1] * 4
+        assert len(cache) <= 11 * 6
+        assert peak < 4 * 11 * 2 * h + (1 << 15)
 
     def test_survivors_are_the_fired_on_aligned_thermometer_segments(self):
         # 8 features of 32-bit thermometer segments: each segment is a block,
@@ -480,6 +574,41 @@ class TestSerialization:
         assert load_network(text).quantizer == "fixed 4 4 1 4"
         assert load_network(text.replace(" fixed 4 4 1 4", "", 1).replace("2", "1", 1)) == (
             dataclasses.replace(net, quantizer=""))
+
+    def load_with_label_edit(self, data, zero):
+        """Draw a version 2 model with one-hot labels and flip one output
+        weight of neuron i: its 1 if zero, else a 0. The version 1 form of the
+        text loads the edited label; the version 2 form must fail naming i."""
+        h, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1 if zero else 2, 9))
+        width = data.draw(st.integers(1, 20))
+        anchors = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=h, max_size=h))
+        classes = data.draw(st.lists(st.integers(0, m - 1), min_size=h, max_size=h))
+        net = CC4Network(data.draw(st.integers(0, width)), width, m, tuple(anchors),
+                         tuple(1 << c for c in classes), f"fixed {width} {width} 1 2")
+        i = data.draw(st.integers(0, h - 1))
+        o = classes[i] if zero else data.draw(st.integers(0, m - 1).filter(
+            lambda o: o != classes[i]))
+        lines = save_network(net).split("\n")
+        row = lines[1 + h + m - 1 - o].split()  # output rows run from bit m - 1 down
+        row[i] = "-1" if zero else "1"
+        lines[1 + h + m - 1 - o] = " ".join(row)
+        label = 1 << classes[i] ^ 1 << o
+        v1 = "\n".join([f"CC4 1 {width + 1} {h} {m} {net.radius}"] + lines[1:])
+        assert load_network(v1).labels[i] == label  # a version 1 model keeps raw labels
+        with pytest.raises(ValueError) as info:
+            load_network("\n".join(lines))
+        assert str(info.value) == (f"hidden row {i + 1} (line {i + 2}): label {label:0{m}b}"
+                                   f" (column {i + 1} of the output rows) is not one-hot")
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_v2_two_hot_label_is_refused(self, data):
+        self.load_with_label_edit(data, zero=False)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_v2_zero_label_is_refused(self, data):
+        self.load_with_label_edit(data, zero=True)
 
     def test_roundtrip_both_directions(self):
         rng = Lcg64(3)

@@ -448,6 +448,21 @@ class TestEvalEncodesAsTrained:
         code, out, err = run(capsys, "eval", "--model", model, "--data", ANGLES)
         assert (code, out, err) == (0, self.report(4, 0, [1, 1, 1, 1]), "")
 
+    @pytest.mark.parametrize("lineno, row, label", [(6, "1 1 -1 -1", "1100"),
+                                                    (7, "-1 -1 -1 -1", "0000")],
+                             ids=["two-hot", "zero"])
+    def test_eval_rejects_a_label_that_is_not_one_hot(self, capsys, tmp_path, lineno, row,
+                                                      label):
+        # the output rows of lines 6-9 hold neuron i's label in column i
+        model = self.train(capsys, tmp_path, "--bins", "4", "--length", "4")
+        lines = Path(model).read_text().split("\n")
+        assert lines[5:9] == ["1 -1 -1 -1", "-1 1 -1 -1", "-1 -1 1 -1", "-1 -1 -1 1"]
+        lines[lineno - 1] = row
+        Path(model).write_text("\n".join(lines))
+        assert run(capsys, "eval", "--model", model, "--data", ANGLES) == (
+            1, "", f"error: {model}: hidden row 2 (line 3): label {label} "
+                   "(column 2 of the output rows) is not one-hot\n")
+
     def test_eval_has_no_encoding_flags(self, capsys):
         code, out, _ = run(capsys, "eval", "--help")
         assert code == 0 and "--clamp" in out
