@@ -18,7 +18,6 @@ load_network reads them back and enforces the bias rule on every row.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -30,13 +29,9 @@ MODEL_MAGIC = "CC4"
 
 _SIGNS = {"1", "-1"}
 
-# a band of at most this many anchors skips the block filter, whose fixed cost
-# is about that many exact tests at n = 256
-_PLAIN_BAND = 128
-
-# the block filter caches its lanes in ints of this many, and adds only those
-# that a query's band overlaps
-_CHUNK = 1024
+# a network of at most this many anchors keeps no block filter, whose fixed
+# cost is about that many exact tests at n = 256
+_PLAIN = 128
 
 # _POPCOUNT[v]: the number of 1s in byte v
 _POPCOUNT = bytes(v.bit_count() for v in range(256))
@@ -94,35 +89,27 @@ class CC4Network:
         return len(self.anchors)
 
     @cached_property
-    def _by_weight(self) -> tuple[list[int], tuple[int, ...], tuple[int, ...], bytes]:
-        """The anchor weights, the anchors and their neuron indices, all in
-        ascending weight order, and an all-"0" ASCII word of h characters.
-        Derived, as are _blocks and _columns, so not a field: ==, hash, repr
-        and the model text see none. Built on the first query, which never
-        builds _blocks: for one query (predict) that costs more than it saves."""
-        weights = [anchor.bit_count() for anchor in self.anchors]
-        order = tuple(sorted(range(len(weights)), key=weights.__getitem__))
-        return ([weights[i] for i in order], tuple([self.anchors[i] for i in order]),
-                order, b"0" * len(order))
-
-    @cached_property
     def _blocks(self) -> tuple[int, int, list[tuple[int, bytes]], list[bytes], dict] | None:
-        """_near's index. Words are cut into blocks of size bytes: at most 8
-        up to 248 bytes, none over 31. columns holds (j, col) for the block at
-        byte j of _block_weights' lanes, col[k] its weight in the k-th anchor
-        by weight. A block with one weight in every anchor (as one-hot
-        segments filling whole blocks) tells none apart and is left out; with
-        none left the index is None. tables[w][u] = min(|u - w|, 255 //
-        len(columns)), so one anchor's terms add up within a byte. The dict
-        is _near's cache: per (j, query weight) at most h lanes, in chunks."""
+        """_near's index, or None where it would not pay: h <= _PLAIN, or every
+        anchor of one weight, as in one-hot codes, where the filter keeps
+        nearly all. Derived, as is _columns, so not a field: ==, hash, repr
+        and the model text see none. Words are cut into blocks of size bytes:
+        at most 8 up to 248 bytes, none over 31. columns holds (j, col) for
+        the block at byte j of _block_weights' lanes, col[i] its weight in
+        anchor i. A block with one weight in every anchor (as one-hot segments
+        filling whole blocks) tells none apart and is left out; as the anchor
+        weights differ, some block is left. tables[w][u] = min(|u - w|,
+        255 // len(columns)), so one anchor's terms add up within a byte. The
+        dict is _near's cache: one int of h lanes per (j, query weight)."""
+        weight = self.anchors[0].bit_count()
+        if len(self.anchors) <= _PLAIN or all(a.bit_count() == weight for a in self.anchors):
+            return None
         nbytes = -(-self.pattern_width // 8)
         size = min(-(-nbytes // 8), 31)
         stride = -(-nbytes // size) * size
-        lanes = _block_weights(self._by_weight[1], stride, size)
+        lanes = _block_weights(self.anchors, stride, size)
         columns = [(j, col) for j in range(0, stride, size)
                    if (col := lanes[j::stride]).count(col[0]) < len(col)]
-        if not columns:
-            return None
         clip = bytes(min(u, 255 // len(columns)) for u in range(256))
         tables = [(bytes(range(w, 0, -1)) + bytes(range(256 - w))).translate(clip)
                   for w in range(8 * size + 1)]
@@ -172,69 +159,52 @@ def _block_weights(values, stride: int, size: int) -> bytes:
     return sum(x >> s for s in range(0, 8 * size, 8)).to_bytes(len(pops), "little")
 
 
-def _near(blocks, query: int, band: range, radius: int) -> Iterable[int]:
-    """The k of the band that the block weights do not place farther than
-    radius from the query. A block's weight difference is at most the
-    distance within it, so sum_j |w_j(x) - w_j(a)| <= d(x, a), clipped or
-    not; the terms add in one byte lane per anchor. Block j's terms depend
-    only on the query's weight w there, so they are cached per (j, w), a
-    chunk at a time. Few kept k are found with bytes.find, so only they cost
-    Python steps."""
+def _near(blocks, query: int, radius: int) -> Iterable[int]:
+    """The i that the block weights do not place farther than radius from
+    the query. A block's weight difference is at most the distance within
+    it, so sum_j |w_j(x) - w_j(a)| <= d(x, a), clipped or not; the terms add
+    in one byte lane per anchor. Block j's terms depend only on the query's
+    weight w there, so they are cached per (j, w). Few kept i are found
+    with bytes.find, so only they cost Python steps."""
     stride, size, columns, tables, cache = blocks
-    lo, hi = band.start, band.stop
-    first, last = lo // _CHUNK, (hi - 1) // _CHUNK + 1
     weights = _block_weights((query,), stride, size)
-    rows = []
+    total = 0
     for j, column in columns:
         w = weights[j]
-        row = cache.get((j, w)) or cache.setdefault((j, w), [None] * -(-len(column) // _CHUNK))
-        for c in range(first, last):
-            if row[c] is None:  # built by the first band that overlaps it
-                lanes = column[c * _CHUNK:(c + 1) * _CHUNK].translate(tables[w])
-                row[c] = int.from_bytes(lanes, "little")
-        rows.append(row[first:last])
-    total = b"".join([sum(chunk).to_bytes(_CHUNK, "little") for chunk in zip(*rows)])
-    r, at = min(radius, 255), lo % _CHUNK  # a lane holds at most 255
-    flags = total[at:at + hi - lo].translate(b"\1" * (r + 1) + bytes(255 - r))
-    return compress(band, flags) if 4 * flags.count(1) > len(flags) else _ones(flags, lo)
+        if (j, w) not in cache:
+            cache[j, w] = int.from_bytes(column.translate(tables[w]), "little")
+        total += cache[j, w]
+    h, r = len(columns[0][1]), min(radius, 255)  # a lane holds at most 255
+    flags = total.to_bytes(h, "little").translate(b"\1" * (r + 1) + bytes(255 - r))
+    return compress(range(h), flags) if 4 * flags.count(1) > h else _ones(flags)
 
 
-def _ones(flags: bytes, lo: int) -> Iterator[int]:
-    """lo + k for each k where flags[k] is 1."""
+def _ones(flags: bytes) -> Iterator[int]:
+    """Each i where flags[i] is 1."""
     at = flags.find(1)
     while at >= 0:
-        yield lo + at
+        yield at
         at = flags.find(1, at + 1)
 
 
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
     """Bit i is 1 iff d(x, anchor i) <= r.
 
-    |w(x) - w(a)| <= d(x, a) for Hamming weights w, so only the anchors whose
-    weight lies in [w(x) - r, w(x) + r] can fire. After a network's first
-    query, a band of more than _PLAIN_BAND anchors is narrowed by the
-    weights of blocks of the words (_near): their summed differences bound
-    d(x, a) from below, and equal it (below the clip) when each block is one
-    thermometer segment, whose weight is the value it codes. The anchors
-    left are tested in one pass that writes each fired neuron's character
-    into an ASCII word: linear in h however many fire."""
+    The weights of blocks of the words narrow which anchors are tested
+    (_near): their summed differences bound d(x, a) from below, and equal it
+    (below the clip) when each block is one thermometer segment, whose
+    weight is the value it codes. The anchors left are tested in one pass
+    that writes each fired neuron's character into an ASCII word: linear in
+    h however many fire."""
     if x.width != net.pattern_width:
         raise ValueError(
             f"query length {x.width} != pattern width {net.pattern_width}"
         )
-    query, radius = x.value, net.radius
-    built = net.__dict__.get("_by_weight")  # None on the network's first query
-    weights, anchors, order, zeros = built or net._by_weight
-    weight = query.bit_count()
-    lo = bisect_left(weights, weight - radius)
-    hi = bisect_right(weights, weight + radius, lo)
-    band = range(lo, hi)
-    if hi - lo > _PLAIN_BAND and built and (blocks := net._blocks):
-        band = _near(blocks, query, band, radius)
-    word = bytearray(zeros)  # neuron i at index i
-    for k in band:
-        if (query ^ anchors[k]).bit_count() <= radius:
-            word[order[k]] = 49  # "1"
+    query, radius, anchors, blocks = x.value, net.radius, net.anchors, net._blocks
+    word = bytearray(b"0") * len(anchors)  # neuron i at index i
+    for i in _near(blocks, query, radius) if blocks else range(len(anchors)):
+        if (query ^ anchors[i]).bit_count() <= radius:
+            word[i] = 49  # "1"
     return BitWord(int(word, 2), len(word))
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import random
 import re
 import tracemalloc
-from bisect import bisect_left, bisect_right
 from math import comb
 
 import pytest
@@ -174,8 +173,8 @@ class TestInference:
         assert str(infer(net, query)) == want
 
     def test_weight_band_edges(self):
-        # query weight 4, r = 2: the band is weights 2..6, and the anchors are
-        # out of weight order, so a fire set at a sorted position would show
+        # query weight 4, r = 2: only weights 2..6 are within |w(x) - w(a)| <= r,
+        # and the anchors are out of weight order
         query = bw("00001111")
         cases = [
             ("11111111", 0),  # weight 8, outside the band
@@ -285,19 +284,21 @@ class TestInference:
 
     def test_weight_index_is_invisible(self):
         small = train(Lcg64(3).next_training_set(8, 6, 3), 2)
-        rng = Lcg64(5)  # h = 300 in one weight band: the second query is filtered
+        rng = Lcg64(5)  # h = 300 of many weights: every query is filtered
         wide = CC4Network(30, 64, 1, tuple(rng.next_below(1 << 64) for _ in range(300)),
                           (1,) * 300)
-        for net, index in ((small, set()), (wide, {"_blocks"})):
+        for net in (small, wide):
             fresh = dataclasses.replace(net)
             x = BitWord(net.anchors[0], net.pattern_width)
             hidden_activations(net, x)
             hidden_activations(net, BitWord(net.anchors[1], net.pattern_width))
             assert "_columns" not in vars(net)
             infer(net, x)
-            assert vars(net).keys() - vars(fresh).keys() == {"_by_weight", "_columns"} | index
-            if index:
+            assert vars(net).keys() - vars(fresh).keys() == {"_blocks", "_columns"}
+            if net is wide:
                 assert vars(net)["_blocks"][-1]  # the filter's cached lanes
+            else:
+                assert vars(net)["_blocks"] is None
             assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
             assert save_network(net) == save_network(dataclasses.replace(net))
             assert dataclasses.fields(net) == dataclasses.fields(fresh)
@@ -332,11 +333,9 @@ def block_weights(word, width):
     return tuple((word >> p & (1 << bits) - 1).bit_count() for p in range(0, width, bits))
 
 
-def built_chunks(net):
-    """The chunks of lanes the block filter has built so far, by (j, w, c)."""
-    cache = vars(net)["_blocks"][-1] if vars(net).get("_blocks") else {}
-    return {(j, w, c): chunk for (j, w), row in cache.items()
-            for c, chunk in enumerate(row) if chunk is not None}
+def cached_lanes(net):
+    """The block filter's cached lanes so far, by (block, query weight)."""
+    return dict(vars(net)["_blocks"][-1]) if vars(net).get("_blocks") else {}
 
 
 def flipped(word, width, count, rnd, upward=None):
@@ -348,8 +347,8 @@ def flipped(word, width, count, rnd, upward=None):
 
 
 class TestBlockFilter:
-    """The fire test after a network's first query, where a weight band of
-    more than 128 anchors goes through the block filter."""
+    """The fire test of a network of more than 128 anchors, not all of one
+    weight, which goes through the block filter."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -384,9 +383,8 @@ class TestBlockFilter:
         if kind != "one-hot":  # weights 0 and n: the widest block differences
             anchors[:2] = [0, full]
         net = CC4Network(radius, width, 1, tuple(anchors), (1,) * h)
-        # the first query takes the plain band; the rest may be filtered. Flips
-        # all one way make the block bound exact, so d = r and d = r + 1 test
-        # its edge
+        # flips all one way make the block bound exact, so d = r and d = r + 1
+        # test its edge
         queries = [rnd.getrandbits(width), 0, full]
         for anchor in rnd.sample(anchors, 3):
             near = flipped(anchor, width, radius, rnd, upward=rnd.random() < 0.5)
@@ -397,11 +395,9 @@ class TestBlockFilter:
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_cached_lanes_across_chunks_match_distance(self, data):
-        # h past one and two 1 024-lane chunks, and bands that start and end on
-        # both sides of anchors 1 024 and 2 048 in weight order. The queries
-        # come in order, some with the block weights of the one before, so the
-        # cached lanes are both reused and built
+    def test_cached_lanes_match_distance(self, data):
+        # queries in order, some with the block weights of the one before, so
+        # the cached lanes are both reused and built
         width = data.draw(st.sampled_from([37, 64, 256]))
         blocks, bits = block_layout(width)
         radius = data.draw(st.sampled_from([255 // blocks - 1, 255 // blocks,
@@ -413,38 +409,29 @@ class TestBlockFilter:
                    & full for _ in range(h)]  # a thermometer segment in each block
         for k in rnd.sample(range(h), h // 4):  # and some off it, where the bound is loose
             anchors[k] = flipped(anchors[k], width, rnd.randint(1, 3), rnd)
+        anchors[:2] = [0, full]  # anchors of more than one weight
         net = CC4Network(radius, width, 1, tuple(anchors), (1,) * h)
-        by_weight = sorted(anchors, key=int.bit_count)
-        queries = [rnd.getrandbits(width)]  # the network's first query is not filtered
-        for k in [1, 1023, 1024, 2047, 2048, rnd.randrange(h), rnd.randrange(h)]:
-            if k < h:  # a band from or to the weight of anchor k, or around it
-                queries += [flipped(by_weight[k], width, radius, rnd, upward=up)
-                            for up in (True, False, None)]
+        queries = [rnd.getrandbits(width)]
+        for k in rnd.sample(range(h), 6):
+            queries += [flipped(anchors[k], width, radius, rnd, upward=up)
+                        for up in (True, False, None)]
         twins = set()
-        for x in queries[1:]:  # the same block weights, other words: no chunk to build
+        for x in queries[:]:  # the same block weights, another word: no lanes to build
             twin = sum(sum(1 << b for b in rnd.sample(range(p, min(p + bits, width)), w))
                        for p, w in zip(range(0, width, bits), block_weights(x, width)))
             twins.add(len(queries))
             queries += [twin, x]
         for at, x in enumerate(queries):
-            built = built_chunks(net)
+            built = cached_lanes(net)
             want = "".join("01"[(x ^ a).bit_count() <= radius] for a in anchors)
             assert str(hidden_activations(net, BitWord(x, width))) == want
             if at in twins or at - 1 in twins:
-                after = built_chunks(net)  # the same ints, not rebuilt
+                after = cached_lanes(net)  # the same ints, not rebuilt
                 assert after.keys() == built.keys() and all(after[k] is built[k] for k in built)
-        if blocks_ := net._blocks:  # a chunk is built where a filtered band overlaps it
-            _, size, columns, _, cache = blocks_
-            weights, overlapped = sorted(a.bit_count() for a in anchors), set()
-            for x in queries[1:]:
-                lo = bisect_left(weights, x.bit_count() - radius)
-                hi = bisect_right(weights, x.bit_count() + radius)
-                if hi - lo > 128:
-                    overlapped |= {(j, block_weights(x, width)[j // size], c) for j, _ in columns
-                                   for c in range(lo // 1024, (hi - 1) // 1024 + 1)}
-            assert built_chunks(net).keys() == overlapped
-            assert len(cache) <= len(columns) * (8 * size + 1)
-            assert all(len(row) == -(-h // 1024) for row in cache.values())
+        _, size, columns, _, cache = net._blocks
+        assert cache.keys() == {(j, block_weights(x, width)[j // size])
+                                for j, _ in columns for x in queries}
+        assert len(cache) <= len(columns) * (8 * size + 1)
 
     def test_cached_lanes_grow_with_the_queries_not_the_table(self):
         # n = 2 500: 11 blocks of 31 bytes with 249 weights each, so lanes for
@@ -452,21 +439,21 @@ class TestBlockFilter:
         # adds at most 11 entries of 1 000 lanes
         h, width, rnd = 1000, 2500, random.Random(12)
         anchors = tuple(rnd.getrandbits(width) for _ in range(h))
-        net = CC4Network(width, width, 1, anchors, (1,) * h)  # r = n: one band of all
+        net = CC4Network(width, width, 1, anchors, (1,) * h)  # r = n: all fire
         queries = [rnd.getrandbits(width) for _ in range(6)]
-        for x in queries[:2]:  # the second query builds the index
-            hidden_activations(net, BitWord(x, width))
+        hidden_activations(net, BitWord(queries[0], width))
         _, size, columns, _, cache = net._blocks
         assert len(columns) == 11 and size == 31 and len(cache) == 11
-        tracemalloc.start()
-        try:
-            fired = [hidden_activations(net, BitWord(x, width)).value for x in queries[2:]]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert fired == [(1 << h) - 1] * 4
+        for x in queries[1:]:
+            tracemalloc.start()
+            try:
+                fired = hidden_activations(net, BitWord(x, width)).value
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert fired == (1 << h) - 1
+            assert peak < 11 * 2 * h + (1 << 15)
         assert len(cache) <= 11 * 6
-        assert peak < 4 * 11 * 2 * h + (1 << 15)
 
     def test_survivors_are_the_fired_on_aligned_thermometer_segments(self):
         # 8 features of 32-bit thermometer segments: each segment is a block,
@@ -475,28 +462,37 @@ class TestBlockFilter:
         rng = Lcg64(19)
         rows = [[rng.next_below(33) for _ in range(8)] for _ in range(400)]
         net = CC4Network(20, 256, 1, tuple(thermometer(row, 32) for row in rows), (1,) * 400)
-        weights, anchors, order, _ = net._by_weight
         for row in rows[:20]:
             x = thermometer([min(v + rng.next_below(4), 32) for v in row], 32)
-            band = range(len(anchors))
-            kept = [order[k] for k in cc4._near(net._blocks, x, band, net.radius)]
+            kept = list(cc4._near(net._blocks, x, net.radius))
             fired = [i for i, a in enumerate(net.anchors) if (x ^ a).bit_count() <= 20]
-            assert sorted(kept) == fired
+            assert kept == fired
 
-    def test_first_query_builds_no_block_index(self):
-        # a process that asks one query does not pay for the block index
+    @pytest.mark.parametrize("h", [128, 129])
+    def test_an_index_only_past_128_anchors(self, h):
         rng = Lcg64(5)
-        anchors = tuple(rng.next_below(1 << 64) for _ in range(300))
-        net = CC4Network(64, 64, 1, anchors, (1,) * 300)  # r = n: one band of all 300
-        x = BitWord(anchors[0], 64)
-        assert hidden_activations(net, x).value == (1 << 300) - 1
-        assert "_blocks" not in vars(net)
-        assert hidden_activations(net, x).value == (1 << 300) - 1
-        assert vars(net)["_blocks"] is not None
+        anchors = tuple(rng.next_below(1 << 64) for _ in range(h))
+        net = CC4Network(64, 64, 1, anchors, (1,) * h)  # r = n: all fire
+        assert hidden_activations(net, BitWord(anchors[0], 64)).value == (1 << h) - 1
+        assert (vars(net)["_blocks"] is None) == (h == 128)
+
+    def test_one_hot_segments_straddling_blocks_keep_no_index(self):
+        # 10-bit one-hot segments over 16-bit blocks: the block weights vary,
+        # but every anchor has weight 8, so no index is kept
+        rng = Lcg64(7)
+        anchors = tuple(sum(1 << 10 * f + rng.next_below(10) for f in range(8))
+                        for _ in range(300))
+        net = CC4Network(4, 80, 1, anchors, (1,) * 300)
+        assert len({block_weights(a, 80) for a in anchors}) > 1
+        for x in (anchors[0], anchors[1] ^ 3, anchors[2] ^ 1 << 40, 0):
+            want = "".join("01"[(x ^ a).bit_count() <= 4] for a in anchors)
+            assert str(hidden_activations(net, BitWord(x, 80))) == want
+        assert vars(net)["_blocks"] is None
 
     def test_blocks_shared_by_every_anchor_leave_no_index(self):
         # one-hot segments filling whole blocks: every anchor has weight 1 in
-        # every block, so the block weights tell no anchors apart
+        # every block, so the block weights tell no anchors apart (and the
+        # anchors share one weight)
         rng = Lcg64(6)
         anchors = tuple(sum(1 << 32 * f + rng.next_below(32) for f in range(8))
                         for _ in range(300))

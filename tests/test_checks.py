@@ -172,6 +172,93 @@ def test_codec_fault_fails_exactly_its_cells(monkeypatch, function):
     assert [(r.machine_line(), r.human_line()) for r in results if not r.passed] == lines
 
 
+def _saved_with(edit):
+    """A save_network breaker: edit(lines) changes the saved text's lines."""
+    def breaker(real):
+        def save(net):
+            lines = real(net).splitlines()
+            edit(lines)
+            return "\n".join(lines) + "\n"
+        return save
+    return breaker
+
+
+def _bias_off_by_one(lines):
+    signs, _, bias = lines[2].rpartition(" ")
+    lines[2] = f"{signs} {int(bias) + 1}"
+
+
+def _first_output_weight_up(lines):
+    lines[-1] = "1" + lines[-1][lines[-1].index(" "):]  # of the last output row
+
+
+def _first_weight_as_float(lines):
+    lines[1] = lines[1].replace("1", "1.0", 1)  # "1.0" or "-1.0"
+
+
+def _twice(real):
+    """A train that iterates its samples twice."""
+    def train(samples, radius):
+        list(samples)
+        return real(samples, radius)
+    return train
+
+
+def _raise_once(real):
+    calls = count()
+
+    def distance(a, b):
+        if next(calls) == 0:
+            raise ValueError("transient")
+        return real(a, b)
+    return distance
+
+
+def _raise_always(message):
+    def breaker(real):
+        def broken(*args):
+            raise ValueError(message)
+        return broken
+    return breaker
+
+
+# one fault at a time that fails one cell, and that cell's machine line after
+# its name
+_CELL_FAULTS = {
+    "bias-rule": (
+        cc4, "save_network", _saved_with(_bias_off_by_one),
+        lambda: checks.check_bias_rule(3, 4, 1, Lcg64(1)),
+        "count=3,width=4,r=1\tfail counterexample=sample=1,s=3,bias=0,want=-1"),
+    "complement-symmetry": (
+        cc4, "save_network", _saved_with(_first_output_weight_up),
+        lambda: checks.check_complement_symmetry(4, 3, 2, 1, Lcg64(1)),
+        "width=4,r=1\tfail counterexample=sample=0,bit=1"),
+    "one-pass-training": (
+        cc4, "train", _twice,
+        lambda: checks.check_one_pass(4, 3, 2, Lcg64(1)),
+        "width=4,samples=3\tfail counterexample=iterations=2"),
+    "integer-exactness": (
+        cc4, "save_network", _saved_with(_first_weight_as_float),
+        lambda: checks.check_integer_exactness(4, Lcg64(1)),
+        "width=4\tfail counterexample=non-integer value observed"),
+    "generalized-min-distance": (
+        codes, "min_pairwise_distance", _raise_always("no words"),
+        lambda: checks.check_generalized_min_distance(3, 8),
+        "k=3,N=8\tfail counterexample=error=no words"),
+    "metric-axioms": (
+        bitvec, "hamming_distance", _raise_once,
+        lambda: checks.check_metric_axioms(3),
+        "len=3\tfail counterexample=error=transient"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_CELL_FAULTS))
+def test_cell_fault_fails_its_cell(monkeypatch, cell):
+    module, function, breaker, run, line = _CELL_FAULTS[cell]
+    monkeypatch.setattr(module, function, breaker(getattr(module, function)))
+    assert run().machine_line() == f"{cell}\t{line}"
+
+
 def test_min_distance_audit_reports_both_values():
     result = checks.check_generalized_min_distance(3, 8)
     assert result.measured == 3

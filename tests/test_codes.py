@@ -1,7 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from unarynet.bitvec import BitWord, hamming_distance, hamming_weight
+from unarynet.bitvec import (
+    BitWord,
+    binary_encode,
+    gray_encode,
+    hamming_distance,
+    hamming_weight,
+)
 from unarynet.codes import (
     DecodeError,
     decode_basic,
@@ -15,6 +23,7 @@ from unarynet.codes import (
     min_pairwise_distance,
     one_hot_to_thermometer,
 )
+from unarynet.rng import Lcg64
 
 bw = BitWord.from_string
 
@@ -283,3 +292,22 @@ def test_basic_roundtrip_property(n):
 def test_fixed_roundtrip_property(L, data):
     n = data.draw(st.integers(0, L))
     assert decode_fixed(encode_fixed(n, L)) == n
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BitWord.zeros(0), "length must be >= 1"),
+    (lambda: binary_encode(0, 0), "width must be >= 1"),
+    (lambda: gray_encode(0, 0), "width must be >= 1"),
+    (lambda: gray_encode(-1, 3), "n must be nonnegative, got -1"),
+    (lambda: encode_fixed(0, 0), "length must be >= 1"),
+    (lambda: encode_fixed(-1, 4), "n must be nonnegative, got -1"),
+    (lambda: encode_one_hot(1, 0), "length must be >= 1"),
+    (lambda: encode_generalized(0, 0, 3), "k must be >= 1"),
+    (lambda: decode_generalized(bw("1110"), 0), "k must be >= 1"),
+    (lambda: Lcg64(1).next_below(0), "n must be >= 1"),
+], ids=["zeros", "binary-width", "gray-width", "gray-negative", "fixed-length",
+        "fixed-negative", "one-hot-length", "generalized-k", "decode-generalized-k",
+        "next-below"])
+def test_guards_raise_their_own_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
