@@ -40,9 +40,6 @@ _POPCOUNT = bytes(v.bit_count() for v in range(256))
 _BYTE_SIGNS = [" ".join("1" if v >> k & 1 else "-1" for k in range(7, -1, -1))
                for v in range(256)]
 
-# _BIT_TEXT[k][v]: "1" if byte v has bit k set, else "0"
-_BIT_TEXT = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
-
 
 @dataclass(frozen=True)
 class TrainingSample:
@@ -118,11 +115,12 @@ class CC4Network:
     @cached_property
     def _columns(self) -> list[int]:
         """Output bit o's label column, o = m - 1 first: bit h - 1 - i is bit
-        o of labels[i], as in the fire word. The model file's output rows."""
-        size = -(-self.output_count // 8)
+        o of labels[i], as in the fire word, and one stride slice of the labels'
+        binary text, 8 * size characters each. The model file's output rows."""
+        size, m = -(-self.output_count // 8), self.output_count
         lanes = b"".join([label.to_bytes(size, "big") for label in self.labels])
-        return [int(lanes[size - 1 - o // 8::size].translate(_BIT_TEXT[o % 8]), 2)
-                for o in reversed(range(self.output_count))]
+        text = format(int.from_bytes(lanes, "big"), f"0{8 * len(lanes)}b")
+        return [int(text[8 * size - m + k::8 * size], 2) for k in range(m)]
 
 
 def train(samples: list[TrainingSample], radius: int) -> CC4Network:

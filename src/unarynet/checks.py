@@ -14,8 +14,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import compress
-from operator import sub
-from struct import calcsize, pack
+from operator import ne, sub
+from struct import calcsize, unpack
 
 from . import bitvec, cc4, codes
 from .bitvec import BitWord
@@ -83,12 +83,10 @@ class CheckGrid:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        for attr, *_ in _BOUNDS.values():
-            if _many(attr):
-                _guard(len(getattr(self, attr)) > 0, f"{attr} must not be empty")
         for attr, lo, hi, label in _BOUNDS.values():
+            values = getattr(self, attr) if _many(attr) else [getattr(self, attr)]
+            _guard(len(values) > 0, f"{attr} must not be empty")
             if label:
-                values = getattr(self, attr) if _many(attr) else [getattr(self, attr)]
                 _guard(all(lo <= v <= hi for v in values), f"{label} must be {lo}..{hi}")
 
 
@@ -349,10 +347,9 @@ def check_radius_law(width: int, radius: int, sets: int, max_samples: int,
 
     Row i's sums on every x, indexed by x.value, are bytes doubled once per
     weight, lowest bit first. Its fire flags go to bit h - 1 - i of x's lane
-    of one int, as the library's fire word on x does: one comparison decides a
-    set, and the lowest differing lane and highest bit name the x and neuron."""
-    inputs = _all_words(width)
-    lanes, lane_bits = bytearray(_LANE << width), 8 * _LANE
+    of one int, as the library's fire word on x does; the lanes, read back as
+    one int per x, are compared with the fire words' values in one step."""
+    inputs, lanes = _all_words(width), bytearray(_LANE << width)
 
     def misses():
         for t in range(sets):
@@ -367,19 +364,17 @@ def check_radius_law(width: int, radius: int, sets: int, max_samples: int,
                 sums.append(row)
                 lanes[::_LANE] = row.translate(_FIRE)
                 want |= int.from_bytes(lanes, "little") << h - 1 - i
+            wants = list(unpack(f"<{len(inputs)}I", want.to_bytes(len(lanes), "little")))
             fired = list(map(partial(cc4.hidden_activations, net), inputs))
-            widths = [f.width for f in fired]
-            k = len(fired)  # the lanes before the first word of the wrong width
-            if widths.count(h) != k:
-                k = next(compress(range(k), map(h.__ne__, widths)))
-            got = int.from_bytes(pack(f"<{k}I", *[f.value for f in fired[:k]]), "little")
-            if diff := (got ^ want) & ~(-1 << lane_bits * k):
-                x = ((diff & -diff).bit_length() - 1) // lane_bits
-                b = (diff >> lane_bits * x & ~(-1 << lane_bits)).bit_length() - 1
-                yield (f"set={t},neuron={h - 1 - b},x={inputs[x]},"
-                       f"fired={got >> lane_bits * x + b & 1},sum={sums[h - 1 - b][x] - _OFFSET}")
-            elif k < len(fired):
-                yield f"set={t},x={inputs[k]},fired_width={widths[k]},want_width={h}"
+            got = [f.value if f.width == h else -1 for f in fired]  # -1 matches no lane
+            if got != wants:
+                x = next(compress(range(len(got)), map(ne, got, wants)))
+                if got[x] < 0:
+                    yield f"set={t},x={inputs[x]},fired_width={fired[x].width},want_width={h}"
+                else:
+                    neuron = h - (got[x] ^ wants[x]).bit_length()  # at bit h - 1 - neuron
+                    yield (f"set={t},neuron={neuron},x={inputs[x]},"
+                           f"fired={got[x] >> h - 1 - neuron & 1},sum={sums[neuron][x] - _OFFSET}")
     return _cell("radius-law", {"width": width, "r": radius, "sets": sets}, misses())
 
 
@@ -404,7 +399,7 @@ def check_training_reproduction(width: int, radius: int, sets: int, max_samples:
                 # a leading 0 per output, so that no fired neuron still gives votes
                 votes = map(sum, zip([0] * output_bits, *compress(signs, map((0).__lt__, sums))))
                 want = "".join(["1" if vote > 0 else "0" for vote in votes])
-                if (got := cc4.infer(net, sample.input)) != BitWord(int(want, 2), output_bits):
+                if (got := str(cc4.infer(net, sample.input))) != want:
                     yield f"set={t},sample={i},got={got},want={want}"
     return _cell("training-reproduction", {"width": width, "r": radius, "sets": sets}, misses())
 

@@ -148,8 +148,7 @@ class TestInference:
             anchors = data.draw(st.lists(st.integers(0, 2**width - 1),
                                          min_size=h, max_size=h))
         else:
-            # thermometer segments, as training builds them: their weights
-            # spread, so the weight band leaves anchors out
+            # thermometer segments, as training builds them
             count, length = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 37))
             width = count * length
             anchors = [thermometer(data.draw(st.lists(st.integers(0, length),
@@ -172,30 +171,12 @@ class TestInference:
                        for column in map("".join, columns))
         assert str(infer(net, query)) == want
 
-    def test_weight_band_edges(self):
-        # query weight 4, r = 2: only weights 2..6 are within |w(x) - w(a)| <= r,
-        # and the anchors are out of weight order
-        query = bw("00001111")
-        cases = [
-            ("11111111", 0),  # weight 8, outside the band
-            ("00111111", 1),  # weight w + r at distance r
-            ("00000000", 0),  # weight 0, outside the band
-            ("00000011", 1),  # weight w - r at distance r
-            ("01111111", 0),  # weight w + r + 1 at distance r + 1
-            ("00000001", 0),  # weight w - r - 1 at distance r + 1
-            ("11000011", 0),  # equal weight at distance 4 > r
-            ("00011111", 1),  # weight 5 at distance 1
-            ("00110111", 0),  # weight 5, inside the band, at distance r + 1
-        ]
-        net = CC4Network(2, 8, 1, tuple(int(a, 2) for a, _ in cases), (1,) * len(cases))
-        assert str(hidden_activations(net, query)) == "".join(str(f) for _, f in cases)
-
     @given(st.data())
     @settings(max_examples=60)
     def test_fire_test_at_wide_patterns(self, data):
         # queries r and r + 1 flips from each anchor, and random words; a query
-        # flipped from the all-0 or all-1 anchor puts it on the weight band's
-        # edge w(x) - r or w(x) + r
+        # flipped from the all-0 or all-1 anchor differs from it by r in weight
+        # as well as in distance
         width = data.draw(st.sampled_from([64, 256, 1024]))
         radius = data.draw(st.integers(0, 8) | st.integers(0, width - 1))
         word = st.integers(0, 2**width - 1)
@@ -223,8 +204,8 @@ class TestInference:
     @pytest.mark.parametrize("h", [1, 7, 8, 9, 63, 64, 65, 1000])
     def test_fire_word_across_byte_and_word_boundaries(self, h):
         # h straddles the byte and 64-bit boundaries of the fire word. The
-        # anchors are random, so out of weight order, plus the all-0 and all-1
-        # words, whose weights differ by exactly n from the opposite query.
+        # anchors are random, plus the all-0 and all-1 words, each at
+        # distance n from the opposite query.
         width, rng = 12, Lcg64(h)
         anchors = [0, (1 << width) - 1] + [rng.next_below(1 << width) for _ in range(h)]
         anchors = tuple(anchors[:h])
@@ -467,6 +448,31 @@ class TestBlockFilter:
             kept = list(cc4._near(net._blocks, x, net.radius))
             fired = [i for i, a in enumerate(net.anchors) if (x ^ a).bit_count() <= 20]
             assert kept == fired
+
+    def test_one_block_filter_edges(self):
+        # n = 8 is one block, so the filter keeps exactly the anchors with
+        # |w(x) - w(a)| <= r: at query weight 4 and r = 2, weights 2..6
+        query = bw("00001111")
+        cases = [
+            ("11111111", 0),  # weight 8, filtered out
+            ("00111111", 1),  # weight w + r at distance r
+            ("00000000", 0),  # weight 0, filtered out
+            ("00000011", 1),  # weight w - r at distance r
+            ("01111111", 0),  # weight w + r + 1 at distance r + 1
+            ("00000001", 0),  # weight w - r - 1 at distance r + 1
+            ("11000011", 0),  # equal weight at distance 4 > r
+            ("00011111", 1),  # weight 5 at distance 1
+            ("00110111", 0),  # weight 5, kept, at distance r + 1
+        ]
+        # every word at distance 4 or more, of every weight, takes h past 128
+        far = [a for a in range(256) if (a ^ query.value).bit_count() > 3]
+        anchors = (*(int(a, 2) for a, _ in cases), *far)
+        net = CC4Network(2, 8, 1, anchors, (1,) * len(anchors))
+        assert str(hidden_activations(net, query)) == (
+            "".join(str(f) for _, f in cases) + "0" * len(far))
+        assert vars(net)["_blocks"] is not None
+        kept = list(cc4._near(net._blocks, query.value, 2))
+        assert kept == [i for i, a in enumerate(anchors) if abs(a.bit_count() - 4) <= 2]
 
     @pytest.mark.parametrize("h", [128, 129])
     def test_an_index_only_past_128_anchors(self, h):

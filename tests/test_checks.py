@@ -602,6 +602,12 @@ class TestGuards:
         with pytest.raises(ValueError, match="guard"):
             CheckGrid(metric_max_len=9)
 
+    def test_guards_run_in_table_order(self):
+        # each key's emptiness, then its bounds, before the next key's
+        message = r"^grid guard exceeded: metric length must be 1\.\.8$"
+        with pytest.raises(ValueError, match=message):
+            CheckGrid(metric_max_len=99, fixed_lengths=())
+
 
 class TestParseGrid:
     def test_presets(self):

@@ -289,6 +289,12 @@ class TestQuantizeEncode:
             quantize_encode(ds, QuantizationSpec(4, 4))
         assert str(e.value) == f"feature count mismatch: rows have {got}, feature_ranges has 2"
 
+    def test_no_feature_columns_keep_the_codec_error(self):
+        # no feature or label is at fault, so the word's own error is raised
+        ds = Dataset((), (((), 0),), ())
+        with pytest.raises(ValueError, match="^BitWord must contain at least one bit$"):
+            quantize_encode(ds, QuantizationSpec(4, 4))
+
     def test_non_ascii_byte_names_file_line_and_byte(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,b,label\r\n1,2,0\r\n3,\xc3\xa9,1\n")
