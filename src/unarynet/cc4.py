@@ -86,31 +86,35 @@ class CC4Network:
         return len(self.anchors)
 
     @cached_property
-    def _blocks(self) -> tuple[int, int, list[tuple[int, bytes]], list[bytes], dict] | None:
+    def _blocks(self) -> tuple[int, list[tuple[int, bytes]], list[bytes], dict] | None:
         """_near's index, or None where it would not pay: h <= _PLAIN, or every
         anchor of one weight, as in one-hot codes, where the filter keeps
         nearly all. Derived, as is _columns, so not a field: ==, hash, repr
-        and the model text see none. Words are cut into blocks of size bytes:
-        at most 8 up to 248 bytes, none over 31. columns holds (j, col) for
-        the block at byte j of _block_weights' lanes, col[i] its weight in
-        anchor i. A block with one weight in every anchor (as one-hot segments
-        filling whole blocks) tells none apart and is left out; as the anchor
-        weights differ, some block is left. tables[w][u] = min(|u - w|,
-        255 // len(columns)), so one anchor's terms add up within a byte. The
-        dict is _near's cache: one int of h lanes per (j, query weight)."""
+        and the model text see none. Words are cut into blocks of size bytes
+        (mask: 8 * size 1s): at most 8 up to 248 bytes, none over 31. One bulk
+        pass weighs the anchors' blocks: all their byte popcounts as one int,
+        plus it shifted by 1 to size - 1 bytes, at most 248, so no lane carries.
+        columns holds (shift, col) for the block at bit shift, col[i] its
+        weight in anchor i. A block with one weight in every anchor (as one-hot
+        segments filling whole blocks) tells none apart and is left out; as
+        the anchor weights differ, some block is left. tables[w][u] =
+        min(|u - w|, 255 // len(columns)), so one anchor's terms add up within
+        a byte. The dict is _near's cache: h lanes per (shift, query weight)."""
         weight = self.anchors[0].bit_count()
         if len(self.anchors) <= _PLAIN or all(a.bit_count() == weight for a in self.anchors):
             return None
         nbytes = -(-self.pattern_width // 8)
         size = min(-(-nbytes // 8), 31)
         stride = -(-nbytes // size) * size
-        lanes = _block_weights(self.anchors, stride, size)
-        columns = [(j, col) for j in range(0, stride, size)
+        pops = b"".join([a.to_bytes(stride, "little") for a in self.anchors]).translate(_POPCOUNT)
+        x = int.from_bytes(pops, "little")
+        lanes = sum(x >> s for s in range(0, 8 * size, 8)).to_bytes(len(pops), "little")
+        columns = [(8 * j, col) for j in range(0, stride, size)
                    if (col := lanes[j::stride]).count(col[0]) < len(col)]
         clip = bytes(min(u, 255 // len(columns)) for u in range(256))
         tables = [(bytes(range(w, 0, -1)) + bytes(range(256 - w))).translate(clip)
                   for w in range(8 * size + 1)]
-        return stride, size, columns, tables, {}
+        return (1 << 8 * size) - 1, columns, tables, {}
 
     @cached_property
     def _columns(self) -> list[int]:
@@ -147,31 +151,21 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
-def _block_weights(values, stride: int, size: int) -> bytes:
-    """Byte i * stride + j * size is the weight of values[i]'s bytes j * size
-    to (j + 1) * size - 1, least significant first: the byte popcounts, as
-    one int, plus itself shifted by 1 to size - 1 bytes. At most 248, so no
-    byte lane carries."""
-    pops = b"".join([v.to_bytes(stride, "little") for v in values]).translate(_POPCOUNT)
-    x = int.from_bytes(pops, "little")
-    return sum(x >> s for s in range(0, 8 * size, 8)).to_bytes(len(pops), "little")
-
-
 def _near(blocks, query: int, radius: int) -> Iterable[int]:
     """The i that the block weights do not place farther than radius from
     the query. A block's weight difference is at most the distance within
     it, so sum_j |w_j(x) - w_j(a)| <= d(x, a), clipped or not; the terms add
-    in one byte lane per anchor. Block j's terms depend only on the query's
-    weight w there, so they are cached per (j, w). Few kept i are found
-    with bytes.find, so only they cost Python steps."""
-    stride, size, columns, tables, cache = blocks
-    weights = _block_weights((query,), stride, size)
+    in one byte lane per anchor. The query's weight w in a block is the
+    popcount of its own bits there, and the block's terms depend only on w,
+    so they are cached per (shift, w). Few kept i are found with bytes.find,
+    so only they cost Python steps."""
+    mask, columns, tables, cache = blocks
     total = 0
-    for j, column in columns:
-        w = weights[j]
-        if (j, w) not in cache:
-            cache[j, w] = int.from_bytes(column.translate(tables[w]), "little")
-        total += cache[j, w]
+    for shift, column in columns:
+        w = (query >> shift & mask).bit_count()
+        if (shift, w) not in cache:
+            cache[shift, w] = int.from_bytes(column.translate(tables[w]), "little")
+        total += cache[shift, w]
     h, r = len(columns[0][1]), min(radius, 255)  # a lane holds at most 255
     flags = total.to_bytes(h, "little").translate(b"\1" * (r + 1) + bytes(255 - r))
     return compress(range(h), flags) if 4 * flags.count(1) > h else _ones(flags)
@@ -231,7 +225,7 @@ def _read_signs(text: str, width: int) -> int | None:
         digits = text.encode().translate(None, b" ").replace(b"-1", b"0")
         value = int(digits, 2)  # width is the header's: render only rows that long
         return value if len(digits) == width and _sign_row(value, width) == text else None
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError):  # a "-0" field reads as a negative value
         return None
 
 

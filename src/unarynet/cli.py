@@ -96,22 +96,19 @@ def _check_flags(args) -> None:
 def _cmd_encode(args) -> int:
     from . import codes
     _check_flags(args)
-    if args.family == "generalized":
-        if args.k < 1:
-            raise ValueError("k must be >= 1")
-        if args.length is not None and (args.length - 1) % args.k != 0:
-            raise ValueError(f"--length {args.length} is not k*N+1 for k={args.k}")
-    length = (args.length if args.length is not None else
-              args.n + 1 if args.family == "basic" else args.k * args.n + 1)
+    k = args.k if args.family == "generalized" else 1  # basic is generalized with k = 1
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if args.length is not None and (args.length - 1) % k != 0:
+        raise ValueError(f"--length {args.length} is not k*N+1 for k={k}")
+    length = args.length if args.length is not None else k * args.n + 1
     if length > codes.MAX_LENGTH:  # refused before a word that long is built
         raise ValueError(f"a {length}-bit word is longer than the "
                          f"{codes.MAX_LENGTH} bits a codeword holds")
-    if args.family == "basic":
-        word = codes.encode_basic(args.n)
-    elif args.family != "generalized":
+    if args.family in ("fixed", "one-hot"):
         word = getattr(codes, f"encode_{_family_key(args.family)}")(args.n, args.length)
     else:  # N = n unless --length picks the field size
-        word = codes.encode_generalized(args.n, args.k, (length - 1) // args.k)
+        word = codes.encode_generalized(args.n, k, (length - 1) // k)
     print(word)
     return 0
 

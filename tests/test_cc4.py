@@ -315,7 +315,7 @@ def block_weights(word, width):
 
 
 def cached_lanes(net):
-    """The block filter's cached lanes so far, by (block, query weight)."""
+    """The block filter's cached lanes so far, by (block shift, query weight)."""
     return dict(vars(net)["_blocks"][-1]) if vars(net).get("_blocks") else {}
 
 
@@ -379,7 +379,7 @@ class TestBlockFilter:
     def test_cached_lanes_match_distance(self, data):
         # queries in order, some with the block weights of the one before, so
         # the cached lanes are both reused and built
-        width = data.draw(st.sampled_from([37, 64, 256]))
+        width = data.draw(st.sampled_from([37, 64, 256, 1000, 2500]))
         blocks, bits = block_layout(width)
         radius = data.draw(st.sampled_from([255 // blocks - 1, 255 // blocks,
                                             255 // blocks + 1]) | st.integers(0, width // 4))
@@ -409,10 +409,11 @@ class TestBlockFilter:
             if at in twins or at - 1 in twins:
                 after = cached_lanes(net)  # the same ints, not rebuilt
                 assert after.keys() == built.keys() and all(after[k] is built[k] for k in built)
-        _, size, columns, _, cache = net._blocks
-        assert cache.keys() == {(j, block_weights(x, width)[j // size])
-                                for j, _ in columns for x in queries}
-        assert len(cache) <= len(columns) * (8 * size + 1)
+        mask, columns, _, cache = net._blocks
+        assert mask == (1 << bits) - 1
+        assert cache.keys() == {(shift, block_weights(x, width)[shift // bits])
+                                for shift, _ in columns for x in queries}
+        assert len(cache) <= len(columns) * (bits + 1)
 
     def test_cached_lanes_grow_with_the_queries_not_the_table(self):
         # n = 2 500: 11 blocks of 31 bytes with 249 weights each, so lanes for
@@ -423,8 +424,8 @@ class TestBlockFilter:
         net = CC4Network(width, width, 1, anchors, (1,) * h)  # r = n: all fire
         queries = [rnd.getrandbits(width) for _ in range(6)]
         hidden_activations(net, BitWord(queries[0], width))
-        _, size, columns, _, cache = net._blocks
-        assert len(columns) == 11 and size == 31 and len(cache) == 11
+        mask, columns, _, cache = net._blocks
+        assert len(columns) == 11 and mask == (1 << 8 * 31) - 1 and len(cache) == 11
         for x in queries[1:]:
             tracemalloc.start()
             try:
@@ -700,6 +701,10 @@ class TestSerialization:
             ("CC4 1 5 1 1 1\n -1 -1 -1 -1 2\n1\n", r"row 1 \(line 2\): not in canonical"),
             ("CC4 1 5 1 2 1\n-1 -1 -1 -1 2\n1\n1 \n", "line 4: output row is not in canon"),
             ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n-1 1\n", "line 3: output row has 2 fields"),
+            # "-0" reads as a negative value, whose signs cannot be rendered
+            ("CC4 1 4 1 1 1\n-0 1 2\n1\n", "^line 2: hidden row has 3 fields, expected 4$"),
+            ("CC4 1 4 3 1 1\n" + "-1 -1 -1 2\n" * 3 + "-0 1\n",
+             "^line 5: output row has 2 fields, expected 3$"),
             # only \n (or \r\n) ends a line: other breaks are inside the row
             *((f"CC4 1 5 1 1 1\n-1 -1{brk}-1 -1 2\n1\n", r"row 1 \(line 2\): not in canon")
               for brk in ("\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\r")),

@@ -257,6 +257,22 @@ class TestTrainPredictEval:
         assert f"line {lineno}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lineno, old, new, message", [
+        (2, "-1 -1 -1 -1 1", "-0 1 -1 1", "line 2: hidden row has 4 fields, expected 5"),
+        (6, "1 -1 -1 -1", "-0 1 -1", "line 6: output row has 3 fields, expected 4"),
+    ])
+    def test_predict_rejects_negative_zero_weight(self, capsys, tmp_path,
+                                                  lineno, old, new, message):
+        model = tmp_path / "m.cc4"
+        run(capsys, "train", "--data", ANGLES, "--radius", "0",
+            "--bins", "4", "--length", "4", "--out", str(model))
+        lines = model.read_text().split("\n")
+        assert lines[lineno - 1] == old
+        lines[lineno - 1] = new
+        model.write_text("\n".join(lines))
+        assert run(capsys, "predict", "--model", str(model), "--input", "0000") == (
+            1, "", f"error: {model}: {message}\n")
+
     def test_train_writes_golden_model(self, capsys, tmp_path):
         model = tmp_path / "angles_r1.cc4"
         code, _, _ = run(capsys, "train", "--data", ANGLES, "--radius", "1",
