@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 
@@ -28,6 +27,14 @@ from .bitvec import BitWord
 MODEL_MAGIC = "CC4"
 
 _SIGNS = {"1", "-1"}
+
+# a sign block's marked text to binary digits: " 1" was marked " +" (see _read_rows)
+_DIGITS = bytes.maketrans(b"+-", b"10")
+
+# the characters of a block of rows that _read hands _read_rows: a cold
+# process reads a 3.9 MB model faster in blocks this size than in one, whose
+# buffers are fresh pages
+_BLOCK = 1 << 16
 
 # a network of at most this many anchors keeps no block filter, whose fixed
 # cost is about that many exact tests at n = 256
@@ -41,40 +48,97 @@ _BYTE_SIGNS = [" ".join("1" if v >> k & 1 else "-1" for k in range(7, -1, -1))
                for v in range(256)]
 
 
-@dataclass(frozen=True)
 class TrainingSample:
-    input: BitWord
-    output: BitWord
+    """One training pair: an input word and its output word. Immutable."""
+
+    __slots__ = __match_args__ = ("input", "output")
+
+    def __init__(self, input: BitWord, output: BitWord) -> None:
+        _set_input(self, input)
+        _set_output(self, output)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.input == other.input and self.output == other.output
+
+    def __hash__(self) -> int:
+        return hash((self.input, self.output))
+
+    def __repr__(self) -> str:
+        return f"TrainingSample(input={self.input!r}, output={self.output!r})"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the sample through __init__
+        return self.__class__, (self.input, self.output)
 
 
-@dataclass(frozen=True)
+# the slot setters, which __setattr__ refuses everyone else
+_set_input = TrainingSample.input.__set__
+_set_output = TrainingSample.output.__set__
+
+
 class CC4Network:
     """Immutable trained network: one anchor and one label per hidden neuron.
 
     anchors[i] is neuron i's training input and labels[i] its training
     output, each read as plain binary, leftmost bit most significant.
+    quantizer holds the header's words after r, read by dataset; "" is
+    version 1. The fields, in __match_args__ order, are all that ==, hash and
+    repr see; the derived caches (_blocks, _columns) sit beside them in the
+    instance __dict__.
     """
 
-    radius: int
-    pattern_width: int
-    output_count: int
-    anchors: tuple[int, ...]
-    labels: tuple[int, ...]
-    quantizer: str = ""  # the header's words after r, read by dataset; "" is version 1
+    __match_args__ = ("radius", "pattern_width", "output_count", "anchors", "labels",
+                      "quantizer")
 
-    def __post_init__(self) -> None:
-        if self.radius < 0:
+    def __init__(self, radius: int, pattern_width: int, output_count: int,
+                 anchors: tuple[int, ...], labels: tuple[int, ...], quantizer: str = "") -> None:
+        if radius < 0:
             raise ValueError("radius must be nonnegative")
-        if not self.anchors:
+        if not anchors:
             raise ValueError("network has no hidden neurons")
-        if self.pattern_width < 1 or self.output_count < 1:
+        if pattern_width < 1 or output_count < 1:
             raise ValueError("pattern width and output count must be >= 1")
-        if len(self.labels) != len(self.anchors):
+        if len(labels) != len(anchors):
             raise ValueError("label count does not match hidden count")
-        if min(self.anchors) < 0 or max(self.anchors) >> self.pattern_width:
-            raise ValueError(f"anchor outside {self.pattern_width} bits")
-        if min(self.labels) < 0 or max(self.labels) >> self.output_count:
-            raise ValueError(f"label outside {self.output_count} bits")
+        if min(anchors) < 0 or max(anchors) >> pattern_width:
+            raise ValueError(f"anchor outside {pattern_width} bits")
+        if min(labels) < 0 or max(labels) >> output_count:
+            raise ValueError(f"label outside {output_count} bits")
+        vars(self).update(radius=radius, pattern_width=pattern_width, output_count=output_count,
+                          anchors=anchors, labels=labels, quantizer=quantizer)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "CC4Network(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())) + ")"
+
+    def replace(self, **changes) -> CC4Network:
+        """A new network with these fields changed, validated as any other."""
+        return CC4Network(**dict(zip(self.__match_args__, self._fields()), **changes))
 
     @property
     def input_width(self) -> int:
@@ -157,8 +221,9 @@ def _near(blocks, query: int, radius: int) -> Iterable[int]:
     it, so sum_j |w_j(x) - w_j(a)| <= d(x, a), clipped or not; the terms add
     in one byte lane per anchor. The query's weight w in a block is the
     popcount of its own bits there, and the block's terms depend only on w,
-    so they are cached per (shift, w). Few kept i are found with bytes.find,
-    so only they cost Python steps."""
+    so they are cached per (shift, w). Up to a tenth of h kept i are found
+    with bytes.find, so only they cost Python steps; past that, compress's
+    flat pass over all h is the cheaper."""
     mask, columns, tables, cache = blocks
     total = 0
     for shift, column in columns:
@@ -168,7 +233,7 @@ def _near(blocks, query: int, radius: int) -> Iterable[int]:
         total += cache[shift, w]
     h, r = len(columns[0][1]), min(radius, 255)  # a lane holds at most 255
     flags = total.to_bytes(h, "little").translate(b"\1" * (r + 1) + bytes(255 - r))
-    return compress(range(h), flags) if 4 * flags.count(1) > h else _ones(flags)
+    return compress(range(h), flags) if 10 * flags.count(1) > h else _ones(flags)
 
 
 def _ones(flags: bytes) -> Iterator[int]:
@@ -218,15 +283,42 @@ def _sign_row(value: int, width: int) -> str:
     return row[3 * (8 * nbytes - width):]  # the leading pad weights, "-1 " each
 
 
-def _read_signs(text: str, width: int) -> int | None:
-    """The value whose _sign_row is exactly text, or None (the parse is loose,
-    the re-render is the check)."""
-    try:
-        digits = text.encode().translate(None, b" ").replace(b"-1", b"0")
-        value = int(digits, 2)  # width is the header's: render only rows that long
-        return value if len(digits) == width and _sign_row(value, width) == text else None
-    except (ValueError, OverflowError):  # a "-0" field reads as a negative value
+def _read_rows(lines: list[str], width: int, radius: int | None = None) -> list[int] | None:
+    """The values whose _sign_row(value, width) are exactly these lines (rows
+    of _lines, so none holds a newline), or None. Hidden rows (radius given)
+    end in " " and their bias r - s + 1, which must be spelt as str() spells it.
+
+    The signs are decoded as one block, S = " " + "\n ".join(rows), in a fixed
+    number of passes, none per field: S must hold only " ", "-", "1" and
+    newlines; " 1" is marked " +" (only a 1 field's "1" follows a space), then
+    "+" reads as a 1 digit and "-" as a 0, and spaces and the other 1s go.
+    The block is accepted exactly when every row gives width digits, every
+    "-" sits in a " -1", and len(S) = 2hw + z + h - 1, for h rows, w = width
+    and z the count of "-". Why that is exact: in a row's part " " + row, its
+    p marked " 1" and its q " -1" (one per "-") are disjoint, as neither
+    starts inside the other, and p + q = w digits, so they cover 2p + 3q =
+    2w + q characters of it. Summed over the rows they cover 2hw + z, which
+    with the h - 1 newlines is all of S, so each part is nothing but them:
+    the row is w fields, each "1" or "-1", one space apart, which is the
+    _sign_row of its digits. A canonical block passes each test."""
+    if radius is None:
+        signs = lines
+    else:
+        signs, _, biases = zip(*[line.rpartition(" ") for line in lines])
+    data = (" " + "\n ".join(signs)).encode("ascii", "replace")
+    digits = data.replace(b" 1", b" +").translate(_DIGITS, b" 1")
+    zeros = digits.count(b"0")  # the count of "-", once data holds no "0"
+    if (data.translate(None, b" -1\n") or data.count(b" -1") != zeros
+            or len(data) != (2 * width + 1) * len(lines) + zeros - 1):
         return None
+    rows = digits.split(b"\n")
+    if set(map(len, rows)) != {width}:
+        return None
+    values = [int(row, 2) for row in rows]
+    if radius is not None and biases != tuple(
+            [str(radius - value.bit_count() + 1) for value in values]):
+        return None
+    return values
 
 
 def save_network(net: CC4Network) -> str:
@@ -301,11 +393,28 @@ def _row(line: str, lineno: int, width: int, radius: int | None = None) -> None:
     raise ValueError(f"hidden row {lineno - 1} (line {lineno}): {fault}")
 
 
+def _read(lines: list[str], first: int, width: int, radius: int | None = None) -> list[int]:
+    """_read_rows of the rows that start on line first, in blocks of about
+    _BLOCK characters. A block it rejects is read again a row at a time, so
+    that _row names the first fault in file order."""
+    step = max(1, _BLOCK // (2 * width))
+    values = []
+    for k in range(0, len(lines), step):
+        block = _read_rows(lines[k:k + step], width, radius)
+        if block is None:
+            for lineno, line in enumerate(lines[k:k + step], first + k):
+                if _read_rows([line], width, radius) is None:
+                    _row(line, lineno, width + (radius is not None), radius)
+        values += block
+    return values
+
+
 def load_network(text: str) -> CC4Network:
     """Parse the weight form: exactly the text save_network writes, whose
     hidden rows are +1/-1 signs followed by the bias r - s + 1 training writes.
-    A row the exact read rejects is re-read field by field to name its fault,
-    so the first fault in file order is the one reported.
+    A block of rows the exact read rejects is read again a row at a time, and
+    the first row it rejects field by field to name its fault, so the first
+    fault in file order is the one reported.
     A form feed or a bare CR stays inside its row (see _lines)."""
     lines = _lines(text)
     if not lines:
@@ -331,19 +440,8 @@ def load_network(text: str) -> CC4Network:
     if len(lines) != 1 + h + m:
         raise ValueError(f"expected {1 + h + m} lines, found {len(lines)}")
 
-    anchors = []
-    for lineno, line in enumerate(lines[1:1 + h], start=2):
-        signs, _, bias = line.rpartition(" ")
-        anchor = _read_signs(signs, n - 1)
-        if anchor is None or bias != str(radius - anchor.bit_count() + 1):
-            _row(line, lineno, n, radius)
-        anchors.append(anchor)
-    columns = []
-    for lineno, line in enumerate(lines[1 + h:], start=2 + h):
-        column = _read_signs(line, h)
-        if column is None:
-            _row(line, lineno, h)
-        columns.append(column)
+    anchors = _read(lines[1:1 + h], 2, n - 1, radius)
+    columns = _read(lines[1 + h:], 2 + h, h)
     labels = tuple(int("".join(bits), 2) for bits in zip(*[f"{c:0{h}b}" for c in columns]))
     # a version 2 label is one class: the columns cover every neuron, once
     if quantizer and (reduce(int.__or__, columns) != (1 << h) - 1

@@ -11,7 +11,6 @@ property family using its own fixed seed offset so cells are independent.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import compress
 from operator import ne, sub
@@ -67,8 +66,14 @@ def _guard(cond: bool, what: str) -> None:
         raise ValueError(f"grid guard exceeded: {what}")
 
 
-@dataclass(frozen=True)
+# the CheckGrid parameters, in _BOUNDS order
+_FIELDS = tuple(attr for attr, *_ in _BOUNDS.values())
+
+
 class CheckGrid:
+    """The grid's parameters, one per _BOUNDS key. A parameter not given keeps
+    its class default below; a grid is immutable and checked when made."""
+
     metric_max_len: int = 8
     gray_width: int = 10
     fixed_lengths: tuple[int, ...] = (8, 16, 32, 64)
@@ -82,12 +87,24 @@ class CheckGrid:
     bias_vectors: int = 200
     seed: int = 1
 
-    def __post_init__(self) -> None:
+    def __init__(self, **overrides) -> None:
+        unknown = overrides.keys() - _FIELDS
+        if unknown:
+            raise TypeError(f"CheckGrid has no parameter {min(unknown)!r}")
+        vars(self).update(overrides)
         for attr, lo, hi, label in _BOUNDS.values():
             values = getattr(self, attr) if _many(attr) else [getattr(self, attr)]
             _guard(len(values) > 0, f"{attr} must not be empty")
             if label:
                 _guard(all(lo <= v <= hi for v in values), f"{label} must be {lo}..{hi}")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, attr) == getattr(other, attr) for attr in _FIELDS)
 
 
 def _many(attr: str) -> bool:
@@ -95,15 +112,23 @@ def _many(attr: str) -> bool:
     return isinstance(getattr(CheckGrid, attr), tuple)
 
 
-@dataclass
 class PropertyResult:
-    name: str
-    params: dict[str, int]
-    passed: bool
-    measured: int | None = None
-    claimed: int | None = None
-    counterexample: str | None = None
-    note: str | None = None
+    """One cell's outcome; equal to another of the same fields."""
+
+    def __init__(self, name: str, params: dict[str, int], passed: bool,
+                 measured: int | None = None, claimed: int | None = None,
+                 counterexample: str | None = None, note: str | None = None) -> None:
+        self.name, self.params, self.passed = name, params, passed
+        self.measured, self.claimed = measured, claimed
+        self.counterexample, self.note = counterexample, note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"PropertyResult(**{vars(self)!r})"
 
     def _values(self, counterexample_sep: str) -> str:
         """The measured, claimed and counterexample tokens, each after a space."""
@@ -124,9 +149,9 @@ class PropertyResult:
         return line + (f" ({self.note})" if self.note else "")
 
 
-@dataclass
 class PropertyReport:
-    results: list[PropertyResult] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.results: list[PropertyResult] = []
 
     @property
     def passed(self) -> bool:
@@ -578,4 +603,4 @@ def parse_grid(spec: str) -> CheckGrid:
                    f"{key} list has {len(value)} values, more than {MAX_RANGE_LEN}")
             _guard(len(set(value)) == len(value), f"{key} list {raw} repeats a value")
         overrides[attr] = value
-    return replace(CheckGrid(), **overrides)
+    return CheckGrid(**overrides)

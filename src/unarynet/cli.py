@@ -130,13 +130,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from dataclasses import replace
     from . import cc4, dataset
     ds = dataset.load_dataset(args.data)
     q = dataset.QuantizationSpec(args.bins, args.length, _family_key(args.family))
     samples = dataset.quantize_encode(ds, q)
     words = dataset.quantizer_words(q, ds.feature_ranges)
-    net = replace(cc4.train(samples, args.radius), quantizer=words)
+    net = cc4.train(samples, args.radius).replace(quantizer=words)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(cc4.save_network(net))
     print(f"trained n={net.input_width} h={net.hidden_count} "

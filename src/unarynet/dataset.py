@@ -8,7 +8,7 @@ then integer fields separated by commas, no quoting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .bitvec import BitWord
 from .cc4 import CC4Network, TrainingSample, _lines, _quote, infer
@@ -231,7 +231,7 @@ def sweep_radius(net: CC4Network, radii: list[int],
     sample whole and r enters only the fire test, so one net serves every r."""
     if not radii:
         raise ValueError("empty radius range")
-    return [(r, evaluate(replace(net, radius=r), samples)) for r in radii]
+    return [(r, evaluate(net.replace(radius=r), samples)) for r in radii]
 
 
 def sweep_table(reports: list[tuple[int, EvalReport]], width: int) -> str:

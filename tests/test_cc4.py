@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 import random
 import re
 import tracemalloc
@@ -269,7 +269,7 @@ class TestInference:
         wide = CC4Network(30, 64, 1, tuple(rng.next_below(1 << 64) for _ in range(300)),
                           (1,) * 300)
         for net in (small, wide):
-            fresh = dataclasses.replace(net)
+            fresh = net.replace()
             x = BitWord(net.anchors[0], net.pattern_width)
             hidden_activations(net, x)
             hidden_activations(net, BitWord(net.anchors[1], net.pattern_width))
@@ -281,12 +281,12 @@ class TestInference:
             else:
                 assert vars(net)["_blocks"] is None
             assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
-            assert save_network(net) == save_network(dataclasses.replace(net))
-            assert dataclasses.fields(net) == dataclasses.fields(fresh)
+            assert save_network(net) == save_network(net.replace())
+            assert net.__match_args__ == fresh.__match_args__
             loaded = load_network(save_network(net))
             assert loaded == net and "_columns" not in vars(loaded)
-        assert [f.name for f in dataclasses.fields(CC4Network)] == [
-            "radius", "pattern_width", "output_count", "anchors", "labels", "quantizer"]
+        assert CC4Network.__match_args__ == (
+            "radius", "pattern_width", "output_count", "anchors", "labels", "quantizer")
 
     def test_contradictory_duplicate_inputs_tie_to_zero(self):
         net = train([sample("1010", "1"), sample("1010", "0")], radius=1)
@@ -475,6 +475,20 @@ class TestBlockFilter:
         kept = list(cc4._near(net._blocks, query.value, 2))
         assert kept == [i for i, a in enumerate(anchors) if abs(a.bit_count() - 4) <= 2]
 
+    @pytest.mark.parametrize("kept", [1, 19, 20, 21, 40])
+    def test_kept_set_on_both_sides_of_the_find_switch(self, kept):
+        # n = 8 is one block, so at r = 0 the filter keeps exactly the anchors
+        # of the query's weight: here the kept of weight 8 among 200. Up to
+        # h / 10 kept are found one by one, past it by one pass over all h
+        h, rnd = 200, random.Random(kept)
+        at = sorted(rnd.sample(range(h), kept))
+        anchors = tuple(255 if i in at else 0 for i in range(h))
+        net = CC4Network(0, 8, 1, anchors, (1,) * h)
+        found = cc4._near(net._blocks, 255, 0)
+        assert isinstance(found, itertools.compress) == (10 * kept > h)
+        assert list(found) == at
+        assert hidden_activations(net, bw("11111111")).value == sum(1 << h - 1 - i for i in at)
+
     @pytest.mark.parametrize("h", [128, 129])
     def test_an_index_only_past_128_anchors(self, h):
         rng = Lcg64(5)
@@ -570,13 +584,13 @@ class TestSerialization:
         assert save_network(net) == "CC4 1 5 1 2 1\n1 -1 1 -1 0\n1\n-1\n"
 
     def test_quantizer_words_make_version_2(self):
-        net = dataclasses.replace(train([sample("1010", "10")], 1), quantizer="fixed 4 4 1 4")
+        net = train([sample("1010", "10")], 1).replace(quantizer="fixed 4 4 1 4")
         text = save_network(net)
         assert text == "CC4 2 5 1 2 1 fixed 4 4 1 4\n1 -1 1 -1 0\n1\n-1\n"
         assert load_network(text) == net
         assert load_network(text).quantizer == "fixed 4 4 1 4"
         assert load_network(text.replace(" fixed 4 4 1 4", "", 1).replace("2", "1", 1)) == (
-            dataclasses.replace(net, quantizer=""))
+            net.replace(quantizer=""))
 
     def load_with_label_edit(self, data, zero):
         """Draw a version 2 model with one-hot labels and flip one output
@@ -612,6 +626,85 @@ class TestSerialization:
     @settings(max_examples=60)
     def test_v2_zero_label_is_refused(self, data):
         self.load_with_label_edit(data, zero=True)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_character_edit_of_a_row(self, data):
+        # the block reader against a row-by-row reference: a trained model
+        # with one character of one hidden or output row substituted,
+        # inserted or deleted loads exactly when every row is its _sign_row
+        # re-render (hidden rows with the bias r - s + 1), and otherwise fails
+        # naming the first row that is not
+        width = data.draw(st.integers(1, 30).filter(lambda w: w % 8))
+        h, m, radius = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4)), 1
+        v2 = data.draw(st.booleans())
+        rng = Lcg64(data.draw(st.integers(0, 2**32 - 1)))
+        samples = [TrainingSample(rng.next_word(width),
+                                  BitWord(1 << rng.next_below(m), m) if v2 else rng.next_word(m))
+                    for _ in range(h)]
+        quantizer = f"fixed {width} {width} 1 2" if v2 else ""
+        lines = save_network(train(samples, radius).replace(quantizer=quantizer)).split("\n")
+        row = data.draw(st.integers(1, h + m))
+        line = lines[row]
+        at = data.draw(st.integers(0, len(line)))
+        char = data.draw(st.sampled_from("1-0+ \t\r\x85") | st.characters(categories=["Nd"]))
+        cut = data.draw(st.sampled_from([(0, 1), (1, 0), (1, 1)] if at < len(line) else [(0, 1)]))
+        lines[row] = line[:at] + char * cut[1] + line[at + cut[0]:]  # insert, delete, substitute
+        text = "\n".join(lines)
+        canonical = text.replace("\r\n", "\n")  # a \r before the newline ends its line
+
+        def value(k, line):  # row k's value, if the row is its own re-render
+            signs = line.split(" ")[:-1] if k <= h else line.split(" ")
+            if len(signs) != (width if k <= h else h) or not set(signs) <= {"1", "-1"}:
+                return None
+            v = int("".join("1" if f == "1" else "0" for f in signs), 2)
+            want = cc4._sign_row(v, len(signs))
+            return v if line == (f"{want} {radius - v.bit_count() + 1}" if k <= h else want) else None
+
+        read = [value(k, line) for k, line in enumerate(canonical.split("\n")[1:1 + h + m], 1)]
+        bad = next((k for k, v in enumerate(read, 1) if v is None), None)
+        if bad is None and not (v2 and any(
+                sum(c >> h - 1 - i & 1 for c in read[h:]) != 1 for i in range(h))):
+            assert save_network(load_network(text)) == canonical
+            return
+        with pytest.raises(ValueError) as info:
+            load_network(text)
+        if bad is None:  # every row is canonical, but a v2 label is not one class
+            assert "is not one-hot" in str(info.value)
+        else:  # row k is line k + 1
+            assert re.search(rf"(^|\()line {bad + 1}[:)]", str(info.value)), str(info.value)
+
+    def test_blocks_of_rows_name_the_first_fault(self):
+        # at n - 1 = 2 000 the hidden rows are read in blocks of 16: a fault
+        # at either end of a block, with another on an output row, is named
+        # by its own row and line
+        width, h = 2000, 40
+        step = cc4._BLOCK // (2 * width)
+        assert step == 16
+        rng = random.Random(4)
+        net = CC4Network(3, width, 2, tuple(rng.getrandbits(width) for _ in range(h)),
+                         tuple(rng.randrange(4) for _ in range(h)))
+        lines = save_network(net).split("\n")
+        assert load_network("\n".join(lines)) == net
+        lines[h + 2] = lines[h + 2].replace(" ", "  ", 1)
+        for row in (1, step, step + 1, 2 * step, 2 * step + 1, h):
+            broken = lines.copy()
+            broken[row] = broken[row].replace(" ", "  ", 1)
+            with pytest.raises(ValueError, match=rf"^hidden row {row} \(line {row + 1}\): not in"):
+                load_network("\n".join(broken))
+        with pytest.raises(ValueError, match=rf"^line {h + 3}: output row is not in"):
+            load_network("\n".join(lines))
+
+    @pytest.mark.parametrize("text, message", [
+        ("CC4 1 3 1 1 1\n1-1  1\n1\n", "^line 2: hidden row has 2 fields, expected 3$"),
+        ("CC4 1 3 2 1 1\n-1 -1 2\n-1 -1 2\n1-1 \n",
+         "^line 4: output row has 1 fields, expected 2$"),
+    ])
+    def test_a_minus_outside_a_minus_one_is_refused(self, text, message):
+        # "1-1 " has the characters, the length and the digits of a
+        # canonical two-field row; only its "-" outside a " -1" gives it away
+        with pytest.raises(ValueError, match=message):
+            load_network(text)
 
     def test_roundtrip_both_directions(self):
         rng = Lcg64(3)

@@ -76,12 +76,16 @@ print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
     "argv",
     [["table", "--which", "1"],
      ["encode", "--family", "fixed", "--n", "3", "--length", "5"],
-     ["decode", "--family", "fixed", "--word", "00111"]],
-    ids=lambda argv: argv[0],
+     ["decode", "--family", "fixed", "--word", "00111"],
+     ["predict", "--model", GOLDEN_MODEL, "--input", "0000"],
+     ["predict", "--model", GOLDEN_MODEL_V2, "--input", "0000"],
+     ["check", "--grid", "quick"]],
+    ids=["table", "encode", "decode", "predict-v1", "predict-v2", "check"],
 )
 def test_code_subcommands_load_neither_dataclasses_nor_inspect(argv):
-    # BitWord is a plain class, so the commands that need only bitvec, codes
-    # and tables skip importing dataclasses and the inspect module under it
+    # BitWord, the cc4 records and the check records are plain classes, so
+    # the commands that need no Dataset skip importing dataclasses and the
+    # inspect module under it
     assert run_probe(HEAVY_PROBE, argv) == ["0"]
 
 
