@@ -18,7 +18,7 @@ load_network reads them back and enforces the bias rule on every row.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import compress
 
@@ -36,8 +36,9 @@ _DIGITS = bytes.maketrans(b"+-", b"10")
 # buffers are fresh pages
 _BLOCK = 1 << 16
 
-# a network of at most this many anchors keeps no block filter, whose fixed
-# cost is about that many exact tests at n = 256
+# a network of at most this many anchors tests every anchor, into a fire word
+# of at most 128 bits: the block filter's fixed cost is about that many exact
+# tests at n = 256
 _PLAIN = 128
 
 # _POPCOUNT[v]: the number of 1s in byte v
@@ -151,21 +152,22 @@ class CC4Network:
 
     @cached_property
     def _blocks(self) -> tuple[int, list[tuple[int, bytes]], list[bytes], dict] | None:
-        """_near's index, or None where it would not pay: h <= _PLAIN, or every
-        anchor of one weight, as in one-hot codes, where the filter keeps
-        nearly all. Derived, as is _columns, so not a field: ==, hash, repr
-        and the model text see none. Words are cut into blocks of size bytes
-        (mask: 8 * size 1s): at most 8 up to 248 bytes, none over 31. One bulk
-        pass weighs the anchors' blocks: all their byte popcounts as one int,
-        plus it shifted by 1 to size - 1 bytes, at most 248, so no lane carries.
-        columns holds (shift, col) for the block at bit shift, col[i] its
-        weight in anchor i. A block with one weight in every anchor (as one-hot
-        segments filling whole blocks) tells none apart and is left out; as
-        the anchor weights differ, some block is left. tables[w][u] =
-        min(|u - w|, 255 // len(columns)), so one anchor's terms add up within
-        a byte. The dict is _near's cache: h lanes per (shift, query weight)."""
+        """_near's index, or None where it would not pay: every anchor of one
+        weight, as in one-hot codes, where the filter keeps nearly all. Only a
+        network of more than _PLAIN anchors reads it. Derived, as is _columns,
+        so not a field: ==, hash, repr and the model text see none. Words are
+        cut into blocks of size bytes (mask: 8 * size 1s): at most 8 up to 248
+        bytes, none over 31. One bulk pass weighs the anchors' blocks: all
+        their byte popcounts as one int, plus it shifted by 1 to size - 1
+        bytes, at most 248, so no lane carries. columns holds (shift, col) for
+        the block at bit shift, col[i] its weight in anchor i. A block with one
+        weight in every anchor (as one-hot segments filling whole blocks) tells
+        none apart and is left out; as the anchor weights differ, some block is
+        left. tables[w][u] = min(|u - w|, 255 // len(columns)), so one anchor's
+        terms add up within a byte. The dict is _near's cache: h lanes per
+        (shift, query weight)."""
         weight = self.anchors[0].bit_count()
-        if len(self.anchors) <= _PLAIN or all(a.bit_count() == weight for a in self.anchors):
+        if all(a.bit_count() == weight for a in self.anchors):
             return None
         nbytes = -(-self.pattern_width // 8)
         size = min(-(-nbytes // 8), 31)
@@ -186,7 +188,8 @@ class CC4Network:
         o of labels[i], as in the fire word, and one stride slice of the labels'
         binary text, 8 * size characters each. The model file's output rows."""
         size, m = -(-self.output_count // 8), self.output_count
-        lanes = b"".join([label.to_bytes(size, "big") for label in self.labels])
+        lanes = bytes(self.labels) if m <= 8 else b"".join(
+            [label.to_bytes(size, "big") for label in self.labels])
         text = format(int.from_bytes(lanes, "big"), f"0{8 * len(lanes)}b")
         return [int(text[8 * size - m + k::8 * size], 2) for k in range(m)]
 
@@ -215,15 +218,13 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
-def _near(blocks, query: int, radius: int) -> Iterable[int]:
-    """The i that the block weights do not place farther than radius from
-    the query. A block's weight difference is at most the distance within
-    it, so sum_j |w_j(x) - w_j(a)| <= d(x, a), clipped or not; the terms add
-    in one byte lane per anchor. The query's weight w in a block is the
-    popcount of its own bits there, and the block's terms depend only on w,
-    so they are cached per (shift, w). Up to a tenth of h kept i are found
-    with bytes.find, so only they cost Python steps; past that, compress's
-    flat pass over all h is the cheaper."""
+def _near(blocks, query: int, radius: int) -> bytes:
+    """flags[i] is 1 for each i that the block weights do not place farther
+    than radius from the query, else 0. A block's weight difference is at
+    most the distance within it, so sum_j |w_j(x) - w_j(a)| <= d(x, a),
+    clipped or not; the terms add in one byte lane per anchor. The query's
+    weight w in a block is the popcount of its own bits there, and the
+    block's terms depend only on w, so they are cached per (shift, w)."""
     mask, columns, tables, cache = blocks
     total = 0
     for shift, column in columns:
@@ -232,8 +233,7 @@ def _near(blocks, query: int, radius: int) -> Iterable[int]:
             cache[shift, w] = int.from_bytes(column.translate(tables[w]), "little")
         total += cache[shift, w]
     h, r = len(columns[0][1]), min(radius, 255)  # a lane holds at most 255
-    flags = total.to_bytes(h, "little").translate(b"\1" * (r + 1) + bytes(255 - r))
-    return compress(range(h), flags) if 10 * flags.count(1) > h else _ones(flags)
+    return total.to_bytes(h, "little").translate(b"\1" * (r + 1) + bytes(255 - r))
 
 
 def _ones(flags: bytes) -> Iterator[int]:
@@ -247,22 +247,41 @@ def _ones(flags: bytes) -> Iterator[int]:
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
     """Bit i is 1 iff d(x, anchor i) <= r.
 
-    The weights of blocks of the words narrow which anchors are tested
+    Each anchor left to test gets the exact test, in neuron order, in one of
+    three loops, each the cheapest where it runs. A network of at most _PLAIN
+    anchors tests them all, shifting each fire bit into an int. Past that,
+    the weights of blocks of the words narrow which anchors are tested
     (_near): their summed differences bound d(x, a) from below, and equal it
-    (below the clip) when each block is one thermometer segment, whose
-    weight is the value it codes. The anchors left are tested in one pass
-    that writes each fired neuron's character into an ASCII word: linear in
-    h however many fire."""
+    (below the clip) when each block is one thermometer segment, whose weight
+    is the value it codes. Up to a tenth of h kept are found with bytes.find
+    (_ones), so only they cost Python steps, and each fired one sets its bit
+    in ceil(h / 8) bytes. A denser kept set, or all h where no filter is
+    kept, is one flat pass that writes each fired neuron's character into an
+    ASCII word."""
     if x.width != net.pattern_width:
         raise ValueError(
             f"query length {x.width} != pattern width {net.pattern_width}"
         )
-    query, radius, anchors, blocks = x.value, net.radius, net.anchors, net._blocks
-    word = bytearray(b"0") * len(anchors)  # neuron i at index i
-    for i in _near(blocks, query, radius) if blocks else range(len(anchors)):
+    query, radius, anchors = x.value, net.radius, net.anchors
+    h = len(anchors)
+    if h <= _PLAIN:
+        fired = 0
+        for anchor in anchors:
+            fired = fired << 1 | ((query ^ anchor).bit_count() <= radius)
+        return BitWord(fired, h)
+    blocks = net._blocks
+    flags = _near(blocks, query, radius) if blocks else None
+    if flags is not None and 10 * flags.count(1) <= h:
+        bits = bytearray(-(-h // 8))  # neuron i at bit 7 - i % 8 of byte i // 8
+        for i in _ones(flags):
+            if (query ^ anchors[i]).bit_count() <= radius:
+                bits[i >> 3] |= 128 >> (i & 7)
+        return BitWord(int.from_bytes(bits, "big") >> -h % 8, h)
+    word = bytearray(b"0") * h  # neuron i at index i
+    for i in range(h) if flags is None else compress(range(h), flags):
         if (query ^ anchors[i]).bit_count() <= radius:
             word[i] = 49  # "1"
-    return BitWord(int(word, 2), len(word))
+    return BitWord(int(word, 2), h)
 
 
 def infer(net: CC4Network, x: BitWord) -> BitWord:

@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 import tracemalloc
@@ -201,11 +200,12 @@ class TestInference:
             want = "".join("01"[(x.value ^ a).bit_count() <= radius] for a in anchors)
             assert str(hidden_activations(net, x)) == want
 
-    @pytest.mark.parametrize("h", [1, 7, 8, 9, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("h", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 135, 1000, 1001])
     def test_fire_word_across_byte_and_word_boundaries(self, h):
-        # h straddles the byte and 64-bit boundaries of the fire word. The
-        # anchors are random, plus the all-0 and all-1 words, each at
-        # distance n from the opposite query.
+        # h straddles the byte and 64-bit boundaries of the fire word, and
+        # the 128 anchors past which it is built another way, where a packed
+        # word's last byte may be padded. The anchors are random, plus the
+        # all-0 and all-1 words, each at distance n from the opposite query.
         width, rng = 12, Lcg64(h)
         anchors = [0, (1 << width) - 1] + [rng.next_below(1 << width) for _ in range(h)]
         anchors = tuple(anchors[:h])
@@ -275,11 +275,11 @@ class TestInference:
             hidden_activations(net, BitWord(net.anchors[1], net.pattern_width))
             assert "_columns" not in vars(net)
             infer(net, x)
-            assert vars(net).keys() - vars(fresh).keys() == {"_blocks", "_columns"}
             if net is wide:
+                assert vars(net).keys() - vars(fresh).keys() == {"_blocks", "_columns"}
                 assert vars(net)["_blocks"][-1]  # the filter's cached lanes
-            else:
-                assert vars(net)["_blocks"] is None
+            else:  # at most 128 anchors: every one is tested, and no index built
+                assert vars(net).keys() - vars(fresh).keys() == {"_columns"}
             assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
             assert save_network(net) == save_network(net.replace())
             assert net.__match_args__ == fresh.__match_args__
@@ -446,7 +446,7 @@ class TestBlockFilter:
         net = CC4Network(20, 256, 1, tuple(thermometer(row, 32) for row in rows), (1,) * 400)
         for row in rows[:20]:
             x = thermometer([min(v + rng.next_below(4), 32) for v in row], 32)
-            kept = list(cc4._near(net._blocks, x, net.radius))
+            kept = [i for i, flag in enumerate(cc4._near(net._blocks, x, net.radius)) if flag]
             fired = [i for i, a in enumerate(net.anchors) if (x ^ a).bit_count() <= 20]
             assert kept == fired
 
@@ -472,22 +472,38 @@ class TestBlockFilter:
         assert str(hidden_activations(net, query)) == (
             "".join(str(f) for _, f in cases) + "0" * len(far))
         assert vars(net)["_blocks"] is not None
-        kept = list(cc4._near(net._blocks, query.value, 2))
+        kept = [i for i, flag in enumerate(cc4._near(net._blocks, query.value, 2)) if flag]
         assert kept == [i for i, a in enumerate(anchors) if abs(a.bit_count() - 4) <= 2]
 
-    @pytest.mark.parametrize("kept", [1, 19, 20, 21, 40])
-    def test_kept_set_on_both_sides_of_the_find_switch(self, kept):
+    @pytest.mark.parametrize("h, kept", [
+        *(pytest.param(200, kept, id=str(kept)) for kept in (1, 19, 20, 21, 40)),
+        *(pytest.param(203, kept, id=f"203-{kept}") for kept in (1, 2, 20, 21, 40))])
+    def test_kept_set_on_both_sides_of_the_find_switch(self, h, kept, monkeypatch):
         # n = 8 is one block, so at r = 0 the filter keeps exactly the anchors
-        # of the query's weight: here the kept of weight 8 among 200. Up to
-        # h / 10 kept are found one by one, past it by one pass over all h
-        h, rnd = 200, random.Random(kept)
-        at = sorted(rnd.sample(range(h), kept))
+        # of the query's weight: here the kept of weight 8 among h. Up to
+        # h / 10 kept are found one by one (_ones) into a packed word, past it
+        # by one pass over all h. At h = 203 the kept take in the first and
+        # last neurons, the first and last bits of a padded packed word.
+        rnd = random.Random(kept)
+        if h == 203:
+            ends = [0, h - 1][:kept]
+            at = sorted(ends + rnd.sample(range(1, h - 1), kept - len(ends)))
+        else:
+            at = sorted(rnd.sample(range(h), kept))
         anchors = tuple(255 if i in at else 0 for i in range(h))
         net = CC4Network(0, 8, 1, anchors, (1,) * h)
-        found = cc4._near(net._blocks, 255, 0)
-        assert isinstance(found, itertools.compress) == (10 * kept > h)
-        assert list(found) == at
+        flags = cc4._near(net._blocks, 255, 0)
+        assert [i for i, flag in enumerate(flags) if flag] == at
+        found, ones = [], cc4._ones
+
+        def spy(flags):
+            found.append(flags)
+            return ones(flags)
+
+        monkeypatch.setattr(cc4, "_ones", spy)
         assert hidden_activations(net, bw("11111111")).value == sum(1 << h - 1 - i for i in at)
+        assert (found == [flags]) == (10 * kept <= h)
+        assert found in ([], [flags])
 
     @pytest.mark.parametrize("h", [128, 129])
     def test_an_index_only_past_128_anchors(self, h):
@@ -495,7 +511,9 @@ class TestBlockFilter:
         anchors = tuple(rng.next_below(1 << 64) for _ in range(h))
         net = CC4Network(64, 64, 1, anchors, (1,) * h)  # r = n: all fire
         assert hidden_activations(net, BitWord(anchors[0], 64)).value == (1 << h) - 1
-        assert (vars(net)["_blocks"] is None) == (h == 128)
+        # at 128 anchors every one is tested, so the index is never built
+        assert ("_blocks" in vars(net)) == (h == 129)
+        assert (vars(net).get("_blocks") is None) == (h == 128)
 
     def test_one_hot_segments_straddling_blocks_keep_no_index(self):
         # 10-bit one-hot segments over 16-bit blocks: the block weights vary,
