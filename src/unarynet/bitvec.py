@@ -14,12 +14,51 @@ from collections.abc import Sequence
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class BitWord:
+class Record:
+    """The base of the package's immutable values. A subclass names its fields
+    in __match_args__ and sets them in its own __init__, which validates them,
+    through slot setters or vars(self). Record refuses any other assignment or
+    deletion, and ==, hash, repr, copy and pickle see the fields only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__match_args__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in self._fields().items()) + ")"
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the value through __init__, by
+        # keyword, as CheckGrid takes only keywords
+        return _rebuild, (self.__class__, self._fields())
+
+
+def _rebuild(cls, fields: dict) -> Record:
+    return cls(**fields)
+
+
+class BitWord(Record):
     """A word of `width` bits; `value` is the word read as plain binary,
     leftmost bit most significant. Immutable, and equal to (and hashed as)
     exactly the BitWords of the same value and width."""
 
-    __slots__ = ("value", "width")
+    __slots__ = __match_args__ = ("value", "width")
 
     def __init__(self, value: int, width: int) -> None:
         if width < 1:
@@ -28,27 +67,6 @@ class BitWord:
             raise ValueError(f"value {value} does not fit in {width} bits")
         _set_value(self, value)
         _set_width(self, width)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value and self.width == other.width
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.width))
-
-    def __repr__(self) -> str:
-        return f"BitWord(value={self.value!r}, width={self.width!r})"
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild the word through __init__
-        return self.__class__, (self.value, self.width)
 
     @classmethod
     def from_string(cls, text: str) -> "BitWord":
@@ -98,7 +116,7 @@ class BitWord:
         return format(self.value, f"0{self.width}b")
 
 
-# the slot setters, which __setattr__ refuses everyone else
+# the slot setters, which Record.__setattr__ refuses everyone else
 _set_value = BitWord.value.__set__
 _set_width = BitWord.width.__set__
 

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import compress
 
-from .bitvec import BitWord
+from .bitvec import BitWord, Record
 
 MODEL_MAGIC = "CC4"
 
@@ -49,7 +49,7 @@ _BYTE_SIGNS = [" ".join("1" if v >> k & 1 else "-1" for k in range(7, -1, -1))
                for v in range(256)]
 
 
-class TrainingSample:
+class TrainingSample(Record):
     """One training pair: an input word and its output word. Immutable."""
 
     __slots__ = __match_args__ = ("input", "output")
@@ -58,34 +58,13 @@ class TrainingSample:
         _set_input(self, input)
         _set_output(self, output)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.input == other.input and self.output == other.output
-
-    def __hash__(self) -> int:
-        return hash((self.input, self.output))
-
-    def __repr__(self) -> str:
-        return f"TrainingSample(input={self.input!r}, output={self.output!r})"
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild the sample through __init__
-        return self.__class__, (self.input, self.output)
-
-
-# the slot setters, which __setattr__ refuses everyone else
+# the slot setters, which Record.__setattr__ refuses everyone else
 _set_input = TrainingSample.input.__set__
 _set_output = TrainingSample.output.__set__
 
 
-class CC4Network:
+class CC4Network(Record):
     """Immutable trained network: one anchor and one label per hidden neuron.
 
     anchors[i] is neuron i's training input and labels[i] its training
@@ -116,30 +95,9 @@ class CC4Network:
         vars(self).update(radius=radius, pattern_width=pattern_width, output_count=output_count,
                           anchors=anchors, labels=labels, quantizer=quantizer)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "CC4Network(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())) + ")"
-
     def replace(self, **changes) -> CC4Network:
         """A new network with these fields changed, validated as any other."""
-        return CC4Network(**dict(zip(self.__match_args__, self._fields()), **changes))
+        return CC4Network(**dict(self._fields(), **changes))
 
     @property
     def input_width(self) -> int:

@@ -17,7 +17,7 @@ from operator import ne, sub
 from struct import calcsize, unpack
 
 from . import bitvec, cc4, codes
-from .bitvec import BitWord
+from .bitvec import BitWord, Record
 from .rng import Lcg64
 
 # grid key: its CheckGrid field, least and most value, and name in a guard
@@ -70,9 +70,11 @@ def _guard(cond: bool, what: str) -> None:
 _FIELDS = tuple(attr for attr, *_ in _BOUNDS.values())
 
 
-class CheckGrid:
+class CheckGrid(Record):
     """The grid's parameters, one per _BOUNDS key. A parameter not given keeps
     its class default below; a grid is immutable and checked when made."""
+
+    __match_args__ = _FIELDS
 
     metric_max_len: int = 8
     gray_width: int = 10
@@ -98,37 +100,23 @@ class CheckGrid:
             if label:
                 _guard(all(lo <= v <= hi for v in values), f"{label} must be {lo}..{hi}")
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, attr) == getattr(other, attr) for attr in _FIELDS)
-
 
 def _many(attr: str) -> bool:
     """Whether a CheckGrid field takes several values, as its default does."""
     return isinstance(getattr(CheckGrid, attr), tuple)
 
 
-class PropertyResult:
-    """One cell's outcome; equal to another of the same fields."""
+class PropertyResult(Record):
+    """One cell's outcome. Immutable."""
+
+    __match_args__ = ("name", "params", "passed", "measured", "claimed", "counterexample",
+                      "note")
 
     def __init__(self, name: str, params: dict[str, int], passed: bool,
                  measured: int | None = None, claimed: int | None = None,
                  counterexample: str | None = None, note: str | None = None) -> None:
-        self.name, self.params, self.passed = name, params, passed
-        self.measured, self.claimed = measured, claimed
-        self.counterexample, self.note = counterexample, note
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"PropertyResult(**{vars(self)!r})"
+        vars(self).update(name=name, params=params, passed=passed, measured=measured,
+                          claimed=claimed, counterexample=counterexample, note=note)
 
     def _values(self, counterexample_sep: str) -> str:
         """The measured, claimed and counterexample tokens, each after a space."""

@@ -211,7 +211,7 @@ def evaluate(net: CC4Network, samples: list[TrainingSample]) -> EvalReport:
         got = infer(net, sample.input)
         key = str(sample.output)
         matches, total = report.per_class.get(key, (0, 0))
-        hit = got == sample.output
+        hit = got.value == sample.output.value  # got has the width checked above
         report.per_class[key] = (matches + (1 if hit else 0), total + 1)
         if hit:
             report.exact_matches += 1

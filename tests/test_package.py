@@ -60,15 +60,20 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
         f"unarynet.{m}" for m in loaded}
 
 
+# The standard modules that dataclasses brings in (the README's Start-up cost
+# section lists them), none of which a record of bitvec, cc4 or checks needs.
+HEAVY = ("dataclasses", "inspect", "ast", "_ast", "dis", "opcode", "_opcode", "tokenize",
+         "token", "linecache", "copy", "importlib.machinery")
+
 # Runs one subcommand through cli.main, then prints its exit code and which
-# of dataclasses and inspect it loaded that were not loaded before it ran.
-HEAVY_PROBE = """
+# of HEAVY it loaded that were not loaded before it ran.
+HEAVY_PROBE = f"""
 import contextlib, io, sys
 before = set(sys.modules)
 from unarynet import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
+print(code, *sorted(set({HEAVY!r}) & set(sys.modules) - before))
 """
 
 
@@ -83,9 +88,9 @@ print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
     ids=["table", "encode", "decode", "predict-v1", "predict-v2", "check"],
 )
 def test_code_subcommands_load_neither_dataclasses_nor_inspect(argv):
-    # BitWord, the cc4 records and the check records are plain classes, so
-    # the commands that need no Dataset skip importing dataclasses and the
-    # inspect module under it
+    # BitWord, the cc4 records and the check records subclass bitvec.Record,
+    # not dataclasses, so the commands that need no Dataset skip importing
+    # dataclasses and the eleven other HEAVY modules it brings in
     assert run_probe(HEAVY_PROBE, argv) == ["0"]
 
 
