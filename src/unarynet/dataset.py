@@ -1,14 +1,19 @@
 """Integer-feature datasets, unary quantization into training samples, and
 exact-match evaluation of trained networks.
 
-CSV contract: a header row naming the feature columns and ending in `label`,
-then integer fields separated by commas, no quoting.
+CSV contract: a header row naming the feature columns, each with its own
+non-empty name, and ending in `label`, then integer fields separated by
+commas, no quoting. Parsing and encoding work a whole body or column at a
+time; only a file or set they refuse is read again a row at a time, so
+that the error names the first faulty line, or row and feature.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .bitvec import BitWord
 from .cc4 import CC4Network, TrainingSample, _lines, _quote, infer
@@ -54,7 +59,12 @@ class QuantizationSpec:
 def parse_dataset(text: str, source: str = "<data>", dense: bool = True) -> Dataset:
     """Lines as cc4._lines splits them: a form feed or a bare CR stays inside
     its line, so one malformed line never becomes two rows. dense: the labels
-    must be exactly 0..C-1, as a training set's are."""
+    must be exactly 0..C-1, as a training set's are.
+
+    The body is read in whole passes: a comma count of every line, one split
+    of all fields and one map(int) over them; each column is then a strided
+    slice of the values. A body those passes refuse is read again a line at
+    a time, so the error names its first faulty line, in file order."""
     lines = _lines(text)
     if not lines:
         raise ValueError(f"{source}: empty file")
@@ -62,41 +72,58 @@ def parse_dataset(text: str, source: str = "<data>", dense: bool = True) -> Data
     if len(header) < 2 or header[-1] != "label":
         raise ValueError(f"{source}: line 1: header must name feature columns then 'label'")
     names = tuple(h.strip() for h in header[:-1])
-    arity = len(names)
-    rows = []
-    # int() also reads "+3", " 7"; rows are rejoined after a CR, so a CR LF is no stray byte
-    body = "\n".join(lines[1:]) if "\r" in text else text[len(lines[0]) + 1:]
-    plain = not body.encode("ascii", "replace").translate(None, b"0123456789,\n-")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != arity + 1:
-            raise ValueError(f"{source}: line {lineno}: "
-                             f"expected {arity + 1} fields, got {len(fields)}")
-        try:
-            if not plain and line.strip("0123456789,-"):  # int() reads it, a row may not
-                raise ValueError
-            *values, label = map(int, fields)
-        except ValueError:
-            raise ValueError(f"{source}: line {lineno}: non-integer field") from None
-        if label < 0:
-            raise ValueError(f"{source}: line {lineno}: negative label {label}")
-        rows.append((tuple(values), label))
-    if not rows:
+    first = {}  # each name's column, counted from 1
+    for column, name in enumerate(names, start=1):
+        if not name:
+            raise ValueError(f"{source}: line 1: feature column {column} has no name")
+        if first.setdefault(name, column) != column:
+            raise ValueError(f"{source}: line 1: feature {name!r} names columns "
+                             f"{first[name]} and {column}")
+    arity, stride = len(names), len(names) + 1
+    body = list(filter(None, lines[1:]))  # an empty line is skipped
+    if not body:
         raise ValueError(f"{source}: no rows")
-    labels = {label for _, label in rows}
-    top = max(labels)
-    if dense and len(labels) != top + 1:
-        # fewer than len(labels) labels lie below len(labels) + 2, so the first
-        # 3 gaps do: the scan never depends on how large top is
-        first = [v for v in range(min(top, len(labels) + 2)) if v not in labels][:3]
+    fields = ",".join(body)
+    try:
+        # int() also reads "+3", " 7"; a data row holds only these characters
+        if fields.encode("ascii", "replace").translate(None, b"0123456789,-"):
+            raise ValueError
+        if set(map(str.count, body, repeat(","))) != {arity}:
+            raise ValueError
+        values = list(map(int, fields.split(",")))
+        labels = values[arity::stride]
+        if min(labels) < 0:
+            raise ValueError
+    except ValueError:  # find the fault only once the body has failed
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            row = line.split(",")
+            if len(row) != stride:
+                raise ValueError(f"{source}: line {lineno}: "
+                                 f"expected {stride} fields, got {len(row)}") from None
+            try:
+                if line.strip("0123456789,-"):  # int() reads it, a row may not
+                    raise ValueError
+                *_, label = map(int, row)
+            except ValueError:
+                raise ValueError(f"{source}: line {lineno}: non-integer field") from None
+            if label < 0:
+                raise ValueError(f"{source}: line {lineno}: negative label {label}") from None
+        raise
+    present = set(labels)
+    top = max(present)
+    if dense and len(present) != top + 1:
+        # fewer than len(present) labels lie below len(present) + 2, so the
+        # first 3 gaps do: the scan never depends on how large top is
+        missing = [v for v in range(min(top, len(present) + 2)) if v not in present][:3]
         raise ValueError(
             f"{source}: labels not dense in 0..{top}: "
-            f"{top + 1 - len(labels)} missing, first missing {first}"
+            f"{top + 1 - len(present)} missing, first missing {missing}"
         )
-    ranges = tuple((min(column), max(column)) for column in zip(*(f for f, _ in rows)))
-    return Dataset(names, tuple(rows), ranges)
+    columns = [values[k::stride] for k in range(arity)]
+    return Dataset(names, tuple(zip(zip(*columns), labels)),
+                   tuple((min(c), max(c)) for c in columns))
 
 
 def quantizer_words(q: QuantizationSpec, ranges: tuple[tuple[int, int], ...]) -> str:
@@ -132,45 +159,67 @@ def load_dataset(path: str, dense: bool = True) -> Dataset:
     return parse_dataset(text, source=str(path), dense=dense)
 
 
-def bin_index(value: int, lo: int, hi: int, bins: int, clamp: bool = False) -> int:
-    """floor((value - lo) * bins / (hi - lo + 1)), always within 0..bins-1."""
-    if value < lo or value > hi:
-        if not clamp or lo > hi:  # nothing can be clamped into an empty range
+def bin_column(values: Sequence[int], lo: int, hi: int, bins: int,
+               clamp: bool = False) -> list[int]:
+    """floor((value - lo) * bins / (hi - lo + 1)) of each value, always within
+    0..bins-1. A value outside lo..hi is refused, or with clamp put in the
+    nearest end bin; an empty range (lo > hi) holds no value, clamped or not."""
+    if min(values) < lo or max(values) > hi:
+        if not clamp or lo > hi:
+            value = next(v for v in values if v < lo or v > hi)
             raise ValueError(f"value {value} outside declared range {lo}..{hi}")
-        value = min(max(value, lo), hi)
-    return (value - lo) * bins // (hi - lo + 1)
+        values = [min(max(v, lo), hi) for v in values]
+    span = hi - lo + 1
+    return [(v - lo) * bins // span for v in values]
+
+
+def bin_index(value: int, lo: int, hi: int, bins: int, clamp: bool = False) -> int:
+    """The bin of one value, as bin_column gives it."""
+    return bin_column((value,), lo, hi, bins, clamp)[0]
 
 
 def quantize_encode(
     ds: Dataset, q: QuantizationSpec, clamp: bool = False, classes: int | None = None
 ) -> list[TrainingSample]:
     """Bin and encode every row from per-bin segments and one-hot outputs of
-    classes bits (default: the data's own class count)."""
+    classes bits (default: the data's own class count).
+
+    The work goes a column at a time: bin_column bins a whole feature, each
+    bin takes its segment from the table, and the columns are shifted
+    together into one word per row. Only once a column or a label has failed
+    are the rows replayed a value at a time, to name the first faulty row and
+    feature."""
+    if not ds.rows:
+        raise ValueError("dataset has no rows to encode")
     length, bins, fixed = q.length, q.bins, q.family == "fixed"
     classes = ds.num_classes if classes is None else classes
-    if len(ds.rows[0][0]) != len(ds.feature_ranges):  # zip below would not notice
-        raise ValueError(f"feature count mismatch: rows have {len(ds.rows[0][0])}, "
-                         f"feature_ranges has {len(ds.feature_ranges)}")
+    features = [f for f, _ in ds.rows]
+    count = len(ds.feature_ranges)
+    if set(map(len, features)) != {count}:  # zip below would not notice
+        got = next(n for n in map(len, features) if n != count)
+        raise ValueError(f"feature count mismatch: rows have {got}, "
+                         f"feature_ranges has {count}")
     segments = [(encode_fixed(b, length) if fixed else encode_one_hot(b + 1, length)).value
                 for b in range(bins)]
     outputs = {label: encode_one_hot(label + 1, classes) for label in range(classes)}
-    width, samples = length * len(ds.feature_ranges), []
+    words = [0] * len(features)
     try:
-        for features, label in ds.rows:
-            row = 0
-            for value, (lo, hi) in zip(features, ds.feature_ranges):
-                row = row << length | segments[bin_index(value, lo, hi, bins, clamp)]
-            samples.append(TrainingSample(BitWord(row, width), outputs[label]))
-    except (ValueError, KeyError):  # find the fault only once a row has failed
-        features, label = ds.rows[len(samples)]
-        for name, value, (lo, hi) in zip(ds.feature_names, features, ds.feature_ranges):
-            try:
-                bin_index(value, lo, hi, bins, clamp)
-            except ValueError as e:
-                raise ValueError(f"row {len(samples) + 1}, feature {name!r}: {e}") from None
-        encode_one_hot(label + 1, classes)  # the codec's error for a label below 0
+        for column, (lo, hi) in zip(zip(*features), ds.feature_ranges):
+            words = [word << length | segments[b]
+                     for word, b in zip(words, bin_column(column, lo, hi, bins, clamp))]
+        targets = [outputs[label] for _, label in ds.rows]
+    except (ValueError, KeyError):  # find the fault only once a column has failed
+        for row, (values, label) in enumerate(ds.rows, start=1):
+            for name, value, (lo, hi) in zip(ds.feature_names, values, ds.feature_ranges):
+                try:
+                    bin_index(value, lo, hi, bins, clamp)
+                except ValueError as e:
+                    raise ValueError(f"row {row}, feature {name!r}: {e}") from None
+            if label not in outputs:
+                encode_one_hot(label + 1, classes)  # the codec's error for this label
         raise
-    return samples
+    width = length * count
+    return [TrainingSample(BitWord(word, width), target) for word, target in zip(words, targets)]
 
 
 @dataclass

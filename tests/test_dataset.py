@@ -120,32 +120,57 @@ class TestParsing:
     @settings(max_examples=200)
     def test_rows_and_ranges_match_column_reference(self, data):
         arity = data.draw(st.integers(1, 5))
-        count = data.draw(st.integers(1, 12))
+        count = data.draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
         classes = data.draw(st.integers(1, count))
         labels = data.draw(st.permutations([i % classes for i in range(count)]))
-        features = [tuple(data.draw(st.integers(-1000, 1000)) for _ in range(arity))
-                    for _ in range(count)]
+        features = data.draw(st.lists(st.tuples(*[st.integers(-1000, 1000)] * arity),
+                                      min_size=count, max_size=count))
         lines = [",".join(map(str, f + (label,))) for f, label in zip(features, labels)]
+        for _ in range(data.draw(st.integers(0, 3))):  # blank lines anywhere, skipped
+            lines.insert(data.draw(st.integers(0, len(lines))), "")
         header = ",".join(f"f{i}" for i in range(arity)) + ",label"
         ds = parse_dataset("\n".join([header] + lines) + "\n", source="t.csv")
         assert ds.rows == tuple(zip(features, labels))
         columns = [[f[i] for f in features] for i in range(arity)]
         assert ds.feature_ranges == tuple((min(c), max(c)) for c in columns)
 
-        # one bad line: a field that is not an integer, or a field too many or few
-        bad = data.draw(st.integers(0, count - 1))
-        fields = lines[bad].split(",")
-        if data.draw(st.booleans()):
-            fields[data.draw(st.integers(0, arity))] = data.draw(
-                st.sampled_from(["x", "1.5", "", "--1", "1e3", "0x10", "+"]))
-            message = f"t.csv: line {bad + 2}: non-integer field"
-        else:
-            fields = fields[:-1] if data.draw(st.booleans()) else fields + ["7"]
-            message = f"t.csv: line {bad + 2}: expected {arity + 1} fields, got {len(fields)}"
-        lines[bad] = ",".join(fields)
+        # bad lines: a field that is not an integer, a field too many or few, or
+        # a negative label; the error names the first of them in file order
+        rows = [k for k, line in enumerate(lines) if line]
+        messages = []
+        for k in sorted(data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3,
+                                           unique=True))):
+            fields = lines[k].split(",")
+            fault = data.draw(st.sampled_from(["field", "count", "label"]))
+            if fault == "field":
+                fields[data.draw(st.integers(0, arity))] = data.draw(
+                    st.sampled_from(["x", "1.5", "", "--1", "1e3", "0x10", "+"]))
+                message = "non-integer field"
+            elif fault == "count":
+                fields = fields[:-1] if data.draw(st.booleans()) else fields + ["7"]
+                message = f"expected {arity + 1} fields, got {len(fields)}"
+            else:
+                fields[-1] = str(-data.draw(st.integers(1, 1000)))
+                message = f"negative label {fields[-1]}"
+            lines[k] = ",".join(fields)
+            messages.append(f"t.csv: line {k + 2}: {message}")
         with pytest.raises(ValueError) as got:
             parse_dataset("\n".join([header] + lines) + "\n", source="t.csv")
-        assert str(got.value) == message
+        assert str(got.value) == messages[0]
+
+    @pytest.mark.parametrize("header, message", [
+        (",label", "feature column 1 has no name"),
+        ("a, ,label", "feature column 2 has no name"),
+        ("a,b,a,label", "feature 'a' names columns 1 and 3"),
+        ("a, a,label", "feature 'a' names columns 1 and 2"),
+    ])
+    def test_feature_names_are_present_and_distinct(self, header, message):
+        # an empty name, or one that two columns share, could not name a column
+        # in a range fault ("row 2, feature 'a'")
+        row = ",".join(["1"] * header.count(",")) + ",0"
+        with pytest.raises(ValueError) as got:
+            parse_dataset(f"{header}\n{row}\n", source="d.csv")
+        assert str(got.value) == f"d.csv: line 1: {message}"
 
 
 class TestQuantizerWords:
@@ -289,11 +314,25 @@ class TestQuantizeEncode:
             quantize_encode(ds, QuantizationSpec(4, 4))
         assert str(e.value) == f"feature count mismatch: rows have {got}, feature_ranges has 2"
 
+    def test_every_row_must_match_ranges(self):
+        # a set built in code may be ragged: a short later row is refused, not
+        # cut to the shortest row by the column pass
+        ds = Dataset(("a", "b"), (((1, 2), 0), ((3,), 1)), ((0, 9), (0, 9)))
+        with pytest.raises(ValueError) as e:
+            quantize_encode(ds, QuantizationSpec(4, 4))
+        assert str(e.value) == "feature count mismatch: rows have 1, feature_ranges has 2"
+
     def test_no_feature_columns_keep_the_codec_error(self):
         # no feature or label is at fault, so the word's own error is raised
         ds = Dataset((), (((), 0),), ())
         with pytest.raises(ValueError, match="^BitWord must contain at least one bit$"):
             quantize_encode(ds, QuantizationSpec(4, 4))
+
+    @pytest.mark.parametrize("classes", [None, 3])
+    def test_no_rows_is_named(self, classes):
+        ds = Dataset(("a",), (), ((0, 9),))
+        with pytest.raises(ValueError, match="^dataset has no rows to encode$"):
+            quantize_encode(ds, QuantizationSpec(4, 4), classes=classes)
 
     def test_non_ascii_byte_names_file_line_and_byte(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -332,9 +371,9 @@ class _Fault(Exception):
         self.where, self.message = where, message
 
 
-def _reference_encode(ds, q, clamp):
+def _reference_encode(ds, q, clamp, classes):
     """quantize_encode one value at a time: bin_index, then the codec."""
-    classes = ds.num_classes
+    classes = ds.num_classes if classes is None else classes
     width = q.length * len(ds.feature_ranges)
     samples = []
     for index, (features, label) in enumerate(ds.rows):
@@ -363,13 +402,16 @@ def _encode_cases(draw):
     for _ in range(draw(st.integers(1, 6))):
         lo = draw(st.integers(-60, 60))
         ranges.append((lo, lo + draw(st.one_of(st.just(0), st.integers(0, 80)))))
-    classes = draw(st.integers(1, 5))
-    rows = tuple(
-        (tuple(draw(st.integers(lo - 3, hi + 3)) for lo, hi in ranges),
-         draw(st.integers(0, classes - 1)))
-        for _ in range(draw(st.integers(1, 8))))
+    # classes: the eval path's class count, which a label may reach past
+    classes = draw(st.one_of(st.none(), st.integers(1, 5)))
+    top = draw(st.integers(0, 4)) if classes is None else classes
+    count = draw(st.one_of(st.integers(1, 8), st.integers(9, 300)))
+    rows = tuple(draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(lo - 3, hi + 3) for lo, hi in ranges]),
+                  st.integers(0, top)),
+        min_size=count, max_size=count)))
     names = tuple(f"f{i}" for i in range(len(ranges)))
-    return Dataset(names, rows, tuple(ranges)), q, draw(st.booleans())
+    return Dataset(names, rows, tuple(ranges)), q, draw(st.booleans()), classes
 
 
 class TestQuantizeEncodeReference:
@@ -377,22 +419,26 @@ class TestQuantizeEncodeReference:
     @settings(max_examples=200)
     # a label below 0: the codec refuses it; it must not index from the end
     @example((Dataset(("a",), (((1,), 0), ((2,), -1), ((3,), 1)), ((1, 3),)),
-              QuantizationSpec(3, 3), False))
-    # an inverted range, clamped: the bin lies past the code; the codec refuses it
-    @example((Dataset(("a",), (((5,), 0),), ((7, 3),)), QuantizationSpec(4, 4), True))
-    @example((Dataset(("a",), (((5,), 0),), ((7, 3),)), QuantizationSpec(4, 4, "one_hot"), True))
+              QuantizationSpec(3, 3), False, None))
+    # an inverted range, clamped: it holds no value, so even a clamped one is refused
+    @example((Dataset(("a",), (((5,), 0),), ((7, 3),)), QuantizationSpec(4, 4), True, None))
+    @example((Dataset(("a",), (((5,), 0),), ((7, 3),)), QuantizationSpec(4, 4, "one_hot"),
+              True, None))
+    # a fault in a later column of an earlier row is the one named
+    @example((Dataset(("a", "b"), (((0, 9), 0), ((9, 0), 0)), ((0, 5), (0, 5))),
+              QuantizationSpec(2, 2), False, 1))
     def test_matches_per_value_reference(self, case):
-        ds, q, clamp = case
+        ds, q, clamp, classes = case
         try:
-            want = _reference_encode(ds, q, clamp)
+            want = _reference_encode(ds, q, clamp, classes)
         except _Fault as fault:
             with pytest.raises(ValueError) as got:
-                quantize_encode(ds, q, clamp=clamp)
+                quantize_encode(ds, q, clamp=clamp, classes=classes)
             assert type(got.value) is ValueError
             # the message may name where the fault is, never anything else
             assert str(got.value) in (fault.message, f"{fault.where}: {fault.message}")
         else:
-            assert quantize_encode(ds, q, clamp=clamp) == want
+            assert quantize_encode(ds, q, clamp=clamp, classes=classes) == want
 
 
 class TestEvaluate:
