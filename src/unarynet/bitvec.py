@@ -151,15 +151,10 @@ def binary_encode(n: int, width: int) -> BitWord:
 def gray_encode(n: int, width: int) -> BitWord:
     """Binary-reflected Gray code of n at the given width.
 
-    Consecutive integers map to words at Hamming distance exactly 1.
+    Consecutive integers map to words at Hamming distance exactly 1. n ^ n >> 1
+    fits where n does; an n binary_encode refuses is passed itself, to be named.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n >= (1 << width):
-        raise ValueError(f"{n} does not fit in {width} bits")
-    return binary_encode(n ^ (n >> 1), width)
+    return binary_encode(n ^ n >> 1 if 0 <= n and n.bit_length() <= width else n, width)
 
 
 def gray_decode(w: BitWord) -> int:

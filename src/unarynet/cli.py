@@ -181,9 +181,9 @@ def _cmd_eval(args) -> int:
     if len(ds.feature_names) != len(ranges):
         raise ValueError(f"{args.data}: feature count {len(ds.feature_names)} != "
                          f"{len(ranges)}, the count {args.model} was trained on")
-    row = next((k for k, (_, label) in enumerate(ds.rows, 1) if label >= net.output_count), 0)
+    row = next((k for k, label in enumerate(ds.labels, 1) if label >= net.output_count), 0)
     if row:  # before encoding, whose one-hot codec error would not name the row
-        raise ValueError(f"{args.data}: row {row}: label {ds.rows[row - 1][1]} >= "
+        raise ValueError(f"{args.data}: row {row}: label {ds.labels[row - 1]} >= "
                          f"{net.output_count}, the class count of {args.model}")
     try:
         samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q,

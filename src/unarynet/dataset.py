@@ -25,12 +25,18 @@ QUANT_FAMILIES = ("fixed", "one_hot")
 @dataclass(frozen=True)
 class Dataset:
     feature_names: tuple[str, ...]
-    rows: tuple[tuple[tuple[int, ...], int], ...]
+    columns: tuple[tuple[int, ...], ...]  # one per feature, of its value in each row
+    labels: tuple[int, ...]  # each row's label
     feature_ranges: tuple[tuple[int, int], ...]
 
     @property
     def num_classes(self) -> int:
-        return max(label for _, label in self.rows) + 1
+        return max(self.labels) + 1
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(features, label) of each row; the package reads only the columns."""
+        return tuple(zip(zip(*self.columns), self.labels))
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ def parse_dataset(text: str, source: str = "<data>", dense: bool = True) -> Data
             raise ValueError
         if set(map(str.count, body, repeat(","))) != {arity}:
             raise ValueError
-        values = list(map(int, fields.split(",")))
+        values = tuple(map(int, fields.split(",")))
         labels = values[arity::stride]
         if min(labels) < 0:
             raise ValueError
@@ -121,9 +127,8 @@ def parse_dataset(text: str, source: str = "<data>", dense: bool = True) -> Data
             f"{source}: labels not dense in 0..{top}: "
             f"{top + 1 - len(present)} missing, first missing {missing}"
         )
-    columns = [values[k::stride] for k in range(arity)]
-    return Dataset(names, tuple(zip(zip(*columns), labels)),
-                   tuple((min(c), max(c)) for c in columns))
+    columns = tuple(values[k::stride] for k in range(arity))
+    return Dataset(names, columns, labels, tuple((min(c), max(c)) for c in columns))
 
 
 def quantizer_words(q: QuantizationSpec, ranges: tuple[tuple[int, int], ...]) -> str:
@@ -133,16 +138,18 @@ def quantizer_words(q: QuantizationSpec, ranges: tuple[tuple[int, int], ...]) ->
 
 def read_quantizer(words: str, width: int) -> tuple[QuantizationSpec, tuple]:
     """The spec and ranges of exactly the words quantizer_words writes for width bits."""
+    odd, bounds = f"{_quote(words)} is not canonical for {width}-bit patterns", None
     try:
-        family, bins, length, *bounds = words.split(" ")
-        q = QuantizationSpec(int(bins), int(length), family)
-        ranges = tuple(zip(map(int, bounds[::2]), map(int, bounds[1::2])))
+        family, *numbers = words.split(" ")
+        bins, length, *bounds = map(int, numbers)
+        q = QuantizationSpec(bins, length, family)
+        ranges = tuple(zip(bounds[::2], bounds[1::2]))
         if words != quantizer_words(q, ranges) or len(ranges) * q.length != width:
-            raise ValueError(f"{_quote(words)} is not canonical for {width}-bit patterns")
+            raise ValueError(odd)
         if any(lo > hi for lo, hi in ranges):
             raise ValueError(f"{_quote(words)} holds a range whose lo exceeds its hi")
-    except ValueError as e:
-        raise ValueError(f"line 1: bad quantizer: {e}" if words else
+    except ValueError as e:  # no bounds: fewer than three words, or one int() cannot read
+        raise ValueError(f"line 1: bad quantizer: {odd if bounds is None else e}" if words else
                          "the model records no quantizer (model version 1)") from None
     return q, ranges
 
@@ -173,11 +180,6 @@ def bin_column(values: Sequence[int], lo: int, hi: int, bins: int,
     return [(v - lo) * bins // span for v in values]
 
 
-def bin_index(value: int, lo: int, hi: int, bins: int, clamp: bool = False) -> int:
-    """The bin of one value, as bin_column gives it."""
-    return bin_column((value,), lo, hi, bins, clamp)[0]
-
-
 def quantize_encode(
     ds: Dataset, q: QuantizationSpec, clamp: bool = False, classes: int | None = None
 ) -> list[TrainingSample]:
@@ -189,32 +191,34 @@ def quantize_encode(
     together into one word per row. Only once a column or a label has failed
     are the rows replayed a value at a time, to name the first faulty row and
     feature."""
-    if not ds.rows:
+    if not ds.labels:
         raise ValueError("dataset has no rows to encode")
     length, bins, fixed = q.length, q.bins, q.family == "fixed"
     classes = ds.num_classes if classes is None else classes
-    features = [f for f, _ in ds.rows]
-    count = len(ds.feature_ranges)
-    if set(map(len, features)) != {count}:  # zip below would not notice
-        got = next(n for n in map(len, features) if n != count)
-        raise ValueError(f"feature count mismatch: rows have {got}, "
+    count, rows = len(ds.feature_ranges), len(ds.labels)
+    if len(ds.columns) != count:
+        raise ValueError(f"feature count mismatch: rows have {len(ds.columns)}, "
                          f"feature_ranges has {count}")
+    for k, column in enumerate(ds.columns):  # zip below would cut them to the shortest
+        if len(column) != rows:
+            raise ValueError(f"feature {ds.feature_names[k]!r} has {len(column)} rows, "
+                             f"labels has {rows}")
     segments = [(encode_fixed(b, length) if fixed else encode_one_hot(b + 1, length)).value
                 for b in range(bins)]
     outputs = {label: encode_one_hot(label + 1, classes) for label in range(classes)}
-    words = [0] * len(features)
+    words = [0] * rows
     try:
-        for column, (lo, hi) in zip(zip(*features), ds.feature_ranges):
+        for column, (lo, hi) in zip(ds.columns, ds.feature_ranges):
             words = [word << length | segments[b]
                      for word, b in zip(words, bin_column(column, lo, hi, bins, clamp))]
-        targets = [outputs[label] for _, label in ds.rows]
+        targets = [outputs[label] for label in ds.labels]
     except (ValueError, KeyError):  # find the fault only once a column has failed
-        for row, (values, label) in enumerate(ds.rows, start=1):
-            for name, value, (lo, hi) in zip(ds.feature_names, values, ds.feature_ranges):
+        for row, label in enumerate(ds.labels):
+            for name, column, (lo, hi) in zip(ds.feature_names, ds.columns, ds.feature_ranges):
                 try:
-                    bin_index(value, lo, hi, bins, clamp)
+                    bin_column(column[row:row + 1], lo, hi, bins, clamp)
                 except ValueError as e:
-                    raise ValueError(f"row {row}, feature {name!r}: {e}") from None
+                    raise ValueError(f"row {row + 1}, feature {name!r}: {e}") from None
             if label not in outputs:
                 encode_one_hot(label + 1, classes)  # the codec's error for this label
         raise

@@ -713,6 +713,35 @@ class TestSerialization:
         with pytest.raises(ValueError, match=rf"^line {h + 3}: output row is not in"):
             load_network("\n".join(lines))
 
+    def test_a_row_that_lends_a_field_to_the_next_is_named(self):
+        # output row 1 gives its last field to output row 2: the block keeps
+        # its characters, its "-1" count and its length, and read without the
+        # per-row digit count it would load with the labels (1, 2, 1)
+        text = "CC4 1 3 3 2 0\n-1 1 0\n1 -1 0\n1 1 -1\n1 -1\n1 -1 1 -1\n"
+        with pytest.raises(ValueError, match="^line 5: output row has 2 fields, expected 3$"):
+            load_network(text)
+        assert load_network(text.replace("1 -1\n1 -1 1", "1 -1 1\n-1 1")).labels == (2, 1, 2)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_field_moved_across_a_row_boundary(self, data):
+        # a hidden or output row's last field moved to the start of the next
+        # row: the short row, the first fault in file order, is named
+        width, h, m = data.draw(st.integers(1, 30)), data.draw(st.integers(2, 12)), 3
+        radius = data.draw(st.integers(0, 3))
+        rng = Lcg64(data.draw(st.integers(0, 2**32 - 1)))
+        samples = [TrainingSample(rng.next_word(width), rng.next_word(m)) for _ in range(h)]
+        lines = save_network(train(samples, radius)).split("\n")
+        hidden = data.draw(st.booleans())
+        row = data.draw(st.integers(1, h - 1) if hidden else st.integers(h + 1, h + m - 1))
+        head, _, moved = lines[row].rpartition(" ")
+        lines[row], lines[row + 1] = head, f"{moved} {lines[row + 1]}"
+        fields = width + 1 if hidden else h
+        with pytest.raises(ValueError) as info:
+            load_network("\n".join(lines))
+        assert str(info.value) == (f"line {row + 1}: {'hidden' if hidden else 'output'} row "
+                                   f"has {fields - 1} fields, expected {fields}")
+
     @pytest.mark.parametrize("text, message", [
         ("CC4 1 3 1 1 1\n1-1  1\n1\n", "^line 2: hidden row has 2 fields, expected 3$"),
         ("CC4 1 3 2 1 1\n-1 -1 2\n-1 -1 2\n1-1 \n",

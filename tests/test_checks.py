@@ -602,6 +602,10 @@ class TestGuards:
         with pytest.raises(ValueError, match="guard"):
             CheckGrid(metric_max_len=9)
 
+    def test_unknown_parameter_is_named(self):
+        with pytest.raises(TypeError, match=r"^CheckGrid has no parameter 'wdiths'$"):
+            CheckGrid(wdiths=(4,))
+
     def test_guards_run_in_table_order(self):
         # each key's emptiness, then its bounds, before the next key's
         message = r"^grid guard exceeded: metric length must be 1\.\.8$"

@@ -495,7 +495,7 @@ class TestEvalEncodesAsTrained:
         (" fixed", " one-hot"), (" 4 4 1 4\n", " 5 4 1 4\n"), (" 4 1 4\n", " 4 1\n"),
         (" 1 4\n", " 1 4 1 4\n"), (" 4 4 1 4\n", " 2 2 1 4\n"),
         (" fixed 4 4 1 4\n", "\n"), ("CC4 2", "CC4 1"), ("CC4 2", "CC4 3"),
-        (" 1 4\n", " 4 1\n"),
+        (" 1 4\n", " 4 1\n"), (" fixed 4 4 1 4\n", " fixed 4\n"), (" fixed 4", " fixed x"),
     ])
     def test_eval_rejects_a_bad_quantizer_on_line_1(self, capsys, tmp_path, old, new):
         model = self.train(capsys, tmp_path, "--bins", "4", "--length", "4")
@@ -505,6 +505,11 @@ class TestEvalEncodesAsTrained:
         code, out, err = run(capsys, "eval", "--model", model, "--data", ANGLES)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {model}: line 1: ") and "Traceback" not in err
+        # too few words, or one int() cannot read: not canonical, not Python's own text
+        words = {" fixed 4\n": "fixed 4", " fixed x": "fixed x 4 1 4"}.get(new)
+        if words:
+            assert err == (f"error: {model}: line 1: bad quantizer: "
+                           f"{words!r} is not canonical for 4-bit patterns\n")
 
 
 SWEEP_HEAD = "r\taccuracy\texact\tno_decision\tball_volume\n"

@@ -13,7 +13,7 @@ from unarynet.dataset import (
     QUANT_FAMILIES,
     Dataset,
     QuantizationSpec,
-    bin_index,
+    bin_column,
     evaluate,
     hamming_ball_volume,
     load_dataset,
@@ -34,7 +34,7 @@ class TestParsing:
     def test_bundled_angle_dataset(self):
         ds = load_dataset(str(ANGLES_CSV))
         assert ds.feature_names == ("angle",)
-        assert len(ds.rows) == 4
+        assert ds.columns == ((1, 2, 3, 4),) and ds.labels == (0, 1, 2, 3)
         assert ds.feature_ranges == ((1, 4),)
         assert ds.num_classes == 4
 
@@ -70,7 +70,8 @@ class TestParsing:
 
     def test_leading_zeros_still_read(self):
         # refused only at a cost that would show in a parse (see CHANGES.md)
-        assert parse_dataset("a,label\n007,0\n-0,1\n").rows == (((7,), 0), ((0,), 1))
+        ds = parse_dataset("a,label\n007,0\n-0,1\n")
+        assert (ds.columns, ds.labels) == (((7, 0),), (0, 1))
 
     def test_labels_must_be_dense(self):
         with pytest.raises(ValueError, match="missing \\[1\\]"):
@@ -92,7 +93,7 @@ class TestParsing:
 
     def test_blank_lines_skipped(self):
         ds = parse_dataset("a,label\n1,0\n\n2,1\n")
-        assert len(ds.rows) == 2
+        assert (ds.columns, ds.labels) == (((1, 2),), (0, 1))
 
     @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                      "\u2028", "\r"])
@@ -130,8 +131,9 @@ class TestParsing:
             lines.insert(data.draw(st.integers(0, len(lines))), "")
         header = ",".join(f"f{i}" for i in range(arity)) + ",label"
         ds = parse_dataset("\n".join([header] + lines) + "\n", source="t.csv")
+        columns = tuple(tuple(f[i] for f in features) for i in range(arity))
+        assert (ds.columns, ds.labels) == (columns, tuple(labels))
         assert ds.rows == tuple(zip(features, labels))
-        columns = [[f[i] for f in features] for i in range(arity)]
         assert ds.feature_ranges == tuple((min(c), max(c)) for c in columns)
 
         # bad lines: a field that is not an integer, a field too many or few, or
@@ -206,39 +208,37 @@ class TestQuantizerWords:
 class TestBinning:
     def test_formula(self):
         # bin = (v - lo) * bins // (hi - lo + 1)
-        assert bin_index(1, 1, 4, 4) == 0
-        assert bin_index(4, 1, 4, 4) == 3
-        assert bin_index(5, 0, 9, 2) == 1
-        assert bin_index(4, 0, 9, 2) == 0
+        assert bin_column((1, 4), 1, 4, 4) == [0, 3]
+        assert bin_column((5, 4), 0, 9, 2) == [1, 0]
 
     def test_min_maps_to_bin_zero(self):
-        assert bin_index(-3, -3, 12, 7) == 0
+        assert bin_column((-3,), -3, 12, 7) == [0]
 
     def test_max_maps_to_top_bin(self):
         for bins in (1, 2, 5, 16):
-            assert bin_index(12, -3, 12, bins) == bins - 1
+            assert bin_column((12,), -3, 12, bins) == [bins - 1]
 
     def test_degenerate_range_single_value(self):
-        assert bin_index(5, 5, 5, 3) == 0
+        assert bin_column((5,), 5, 5, 3) == [0]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside declared range"):
-            bin_index(13, 0, 12, 4)
+            bin_column((13,), 0, 12, 4)
 
     def test_clamp(self):
-        assert bin_index(13, 0, 12, 4, clamp=True) == 3
-        assert bin_index(-2, 0, 12, 4, clamp=True) == 0
+        assert bin_column((13, -2), 0, 12, 4, clamp=True) == [3, 0]
 
     def test_out_of_range_message_names_value_and_range(self):
+        # the first value outside the range, in column order
         with pytest.raises(ValueError) as got:
-            bin_index(1200, 0, 999, 4)
+            bin_column((5, 1200, -1), 0, 999, 4)
         assert str(got.value) == "value 1200 outside declared range 0..999"
 
     @pytest.mark.parametrize("value, lo, hi", [(5, 7, 3), (3, 4, 3), (4, 4, 3), (-9, 0, -1)])
     def test_empty_range_holds_no_value_even_clamped(self, value, lo, hi):
         for clamp in (False, True):
             with pytest.raises(ValueError) as got:
-                bin_index(value, lo, hi, 4, clamp=clamp)
+                bin_column((value,), lo, hi, 4, clamp=clamp)
             assert str(got.value) == f"value {value} outside declared range {lo}..{hi}"
 
 
@@ -315,22 +315,28 @@ class TestQuantizeEncode:
         assert str(e.value) == f"feature count mismatch: rows have {got}, feature_ranges has 2"
 
     def test_every_row_must_match_ranges(self):
-        # a set built in code may be ragged: a short later row is refused, not
-        # cut to the shortest row by the column pass
-        ds = Dataset(("a", "b"), (((1, 2), 0), ((3,), 1)), ((0, 9), (0, 9)))
+        # a set built in code may lack a column, or hold a short one: it is
+        # refused, not cut to the shortest column by the column pass
+        ds = Dataset(("a",), ((1, 3),), (0, 1), ((0, 9), (0, 9)))
         with pytest.raises(ValueError) as e:
             quantize_encode(ds, QuantizationSpec(4, 4))
         assert str(e.value) == "feature count mismatch: rows have 1, feature_ranges has 2"
+        for columns, message in [(((1, 3), (2,)), "feature 'b' has 1 rows, labels has 2"),
+                                 (((1, 3, 5), (2, 4)), "feature 'a' has 3 rows, labels has 2")]:
+            ds = Dataset(("a", "b"), columns, (0, 1), ((0, 9), (0, 9)))
+            with pytest.raises(ValueError) as e:
+                quantize_encode(ds, QuantizationSpec(4, 4))
+            assert str(e.value) == message
 
     def test_no_feature_columns_keep_the_codec_error(self):
         # no feature or label is at fault, so the word's own error is raised
-        ds = Dataset((), (((), 0),), ())
+        ds = Dataset((), (), (0,), ())
         with pytest.raises(ValueError, match="^BitWord must contain at least one bit$"):
             quantize_encode(ds, QuantizationSpec(4, 4))
 
     @pytest.mark.parametrize("classes", [None, 3])
     def test_no_rows_is_named(self, classes):
-        ds = Dataset(("a",), (), ((0, 9),))
+        ds = Dataset(("a",), ((),), (), ((0, 9),))
         with pytest.raises(ValueError, match="^dataset has no rows to encode$"):
             quantize_encode(ds, QuantizationSpec(4, 4), classes=classes)
 
@@ -345,7 +351,7 @@ class TestQuantizeEncode:
             load_dataset(str(path))
 
     def test_negative_label_is_refused_not_indexed(self):
-        ds = Dataset(("a",), (((1,), 1), ((2,), -1)), ((1, 2),))
+        ds = Dataset(("a",), ((1, 2),), (1, -1), ((1, 2),))
         with pytest.raises(ValueError, match=r"^value 0 outside 1\.\.2$"):
             quantize_encode(ds, QuantizationSpec(2, 2))
 
@@ -372,15 +378,15 @@ class _Fault(Exception):
 
 
 def _reference_encode(ds, q, clamp, classes):
-    """quantize_encode one value at a time: bin_index, then the codec."""
+    """quantize_encode one value at a time: bin_column of one value, then the codec."""
     classes = ds.num_classes if classes is None else classes
     width = q.length * len(ds.feature_ranges)
     samples = []
-    for index, (features, label) in enumerate(ds.rows):
+    for index, (features, label) in enumerate(zip(zip(*ds.columns), ds.labels)):
         row = 0
         for name, value, (lo, hi) in zip(ds.feature_names, features, ds.feature_ranges):
             try:
-                b = bin_index(value, lo, hi, q.bins, clamp=clamp)
+                [b] = bin_column((value,), lo, hi, q.bins, clamp=clamp)
                 segment = (encode_fixed(b, q.length) if q.family == "fixed"
                            else encode_one_hot(b + 1, q.length))
             except ValueError as e:
@@ -411,21 +417,23 @@ def _encode_cases(draw):
                   st.integers(0, top)),
         min_size=count, max_size=count)))
     names = tuple(f"f{i}" for i in range(len(ranges)))
-    return Dataset(names, rows, tuple(ranges)), q, draw(st.booleans()), classes
+    columns = tuple(zip(*[features for features, _ in rows]))
+    labels = tuple(label for _, label in rows)
+    return Dataset(names, columns, labels, tuple(ranges)), q, draw(st.booleans()), classes
 
 
 class TestQuantizeEncodeReference:
     @given(_encode_cases())
     @settings(max_examples=200)
     # a label below 0: the codec refuses it; it must not index from the end
-    @example((Dataset(("a",), (((1,), 0), ((2,), -1), ((3,), 1)), ((1, 3),)),
+    @example((Dataset(("a",), ((1, 2, 3),), (0, -1, 1), ((1, 3),)),
               QuantizationSpec(3, 3), False, None))
     # an inverted range, clamped: it holds no value, so even a clamped one is refused
-    @example((Dataset(("a",), (((5,), 0),), ((7, 3),)), QuantizationSpec(4, 4), True, None))
-    @example((Dataset(("a",), (((5,), 0),), ((7, 3),)), QuantizationSpec(4, 4, "one_hot"),
+    @example((Dataset(("a",), ((5,),), (0,), ((7, 3),)), QuantizationSpec(4, 4), True, None))
+    @example((Dataset(("a",), ((5,),), (0,), ((7, 3),)), QuantizationSpec(4, 4, "one_hot"),
               True, None))
     # a fault in a later column of an earlier row is the one named
-    @example((Dataset(("a", "b"), (((0, 9), 0), ((9, 0), 0)), ((0, 5), (0, 5))),
+    @example((Dataset(("a", "b"), ((0, 9), (9, 0)), (0, 0), ((0, 5), (0, 5))),
               QuantizationSpec(2, 2), False, 1))
     def test_matches_per_value_reference(self, case):
         ds, q, clamp, classes = case

@@ -18,7 +18,7 @@ NETWORK = CC4Network(1, 4, 2, (5, 3), (1, 2), "fixed 4 4 1 4")
 
 # one or more values of each class, the later ones through every optional field
 VALUES = {
-    "BitWord": [WORD, BitWord(2**300 - 1, 300)],
+    "BitWord": [WORD, BitWord(0, 1), BitWord(2**300 - 1, 300)],
     "TrainingSample": [SAMPLE],
     "CC4Network": [CC4Network(0, 3, 1, (5,), (1,)), NETWORK],
     "CheckGrid": [CheckGrid(), CheckGrid(seed=3, radii=(1, 2), metric_max_len=4)],
@@ -38,7 +38,9 @@ def test_copies_are_equal_values_of_the_same_class(name, clone):
     for value in VALUES[name]:
         twin = clone(value)
         assert type(twin) is type(value) and type(value).__name__ == name
-        assert twin == value and repr(twin) == repr(value)
+        assert twin == value and repr(twin) == repr(value) and str(twin) == str(value)
+        if name != "PropertyResult":  # its params dict has no hash
+            assert hash(twin) == hash(value)
 
 
 @records
