@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, repeat
 
 from .bitvec import BitWord, Record
 
@@ -28,12 +28,13 @@ MODEL_MAGIC = "CC4"
 
 _SIGNS = {"1", "-1"}
 
-# a sign block's marked text to binary digits: " 1" was marked " +" (see _read_rows)
-_DIGITS = bytes.maketrans(b"+-", b"10")
+# _read_rows' tables: a byte's 4-bit code (" " 0, "1" 1, newline a, "-" d, other f), and
+# a pair's codes, first * 16 + next, as its digit, a newline, "x", or none (d1, 10)
+_CODES = bytes({32: 0, 49: 1, 10: 10, 45: 13}.get(v, 15) for v in range(256))
+_PAIRS = bytes({0x01: 49, 0xA1: 49, 0x0D: 48, 0xAD: 48, 0x1A: 10}.get(v, 120) for v in range(256))
 
-# the characters of a block of rows that _read hands _read_rows: a cold
-# process reads a 3.9 MB model faster in blocks this size than in one, whose
-# buffers are fresh pages
+# the bytes of a window of rows that _read hands _read_rows: a cold process reads a
+# 3.9 MB model faster in windows this size than in one, whose buffers are fresh pages
 _BLOCK = 1 << 16
 
 # a network of at most this many anchors tests every anchor, into a fire word
@@ -260,40 +261,35 @@ def _sign_row(value: int, width: int) -> str:
     return row[3 * (8 * nbytes - width):]  # the leading pad weights, "-1 " each
 
 
-def _read_rows(lines: list[str], width: int, radius: int | None = None) -> list[int] | None:
-    """The values whose _sign_row(value, width) are exactly these lines (rows
-    of _lines, so none holds a newline), or None. Hidden rows (radius given)
-    end in " " and their bias r - s + 1, which must be spelt as str() spells it.
+def _read_rows(block: bytes, width: int, radius: int | None = None) -> list[int] | None:
+    """The values whose _sign_row(value, width) are exactly block's rows (no
+    final newline), or None. Hidden rows (radius given) end in " " and their
+    bias r - s + 1, which must be spelt as str() spells it.
 
-    The signs are decoded as one block, S = " " + "\n ".join(rows), in a fixed
-    number of passes, none per field: S must hold only " ", "-", "1" and
-    newlines; " 1" is marked " +" (only a 1 field's "1" follows a space), then
-    "+" reads as a 1 digit and "-" as a 0, and spaces and the other 1s go.
-    The block is accepted exactly when every row gives width digits, every
-    "-" sits in a " -1", and len(S) = 2hw + z + h - 1, for h rows, w = width
-    and z the count of "-". Why that is exact: in a row's part " " + row, its
-    p marked " 1" and its q " -1" (one per "-") are disjoint, as neither
-    starts inside the other, and p + q = w digits, so they cover 2p + 3q =
-    2w + q characters of it. Summed over the rows they cover 2hw + z, which
-    with the h - 1 newlines is all of S, so each part is nothing but them:
-    the row is w fields, each "1" or "-1", one space apart, which is the
-    _sign_row of its digits. A canonical block passes each test."""
+    The signs S are decoded as one block, in a fixed number of passes, none
+    per field, by the pairs of adjacent bytes of " " + S + " ": one multiply
+    of S's codes as an int sets each pair in one byte, and one translate
+    makes " 1" and newline-1 a 1 digit, " -" and newline-"-" a 0, "1"-newline
+    a newline, drops "-1" and "1 ", and makes any other pair an "x". The
+    block is accepted exactly when no "x" is left and every row gives width
+    digits. Why that is exact: the kept pairs say that "1" or "-" follows the
+    start and each separator (space or newline), "1" follows each "-", and a
+    separator or the end follows each "1". So S is fields "1" or "-1", one
+    separator apart, each giving one digit: each row is width of them, one
+    space apart, the _sign_row of its digits. A canonical block passes."""
     if radius is None:
-        signs = lines
+        signs = block
     else:
-        signs, _, biases = zip(*[line.rpartition(" ") for line in lines])
-    data = (" " + "\n ".join(signs)).encode("ascii", "replace")
-    digits = data.replace(b" 1", b" +").translate(_DIGITS, b" 1")
-    zeros = digits.count(b"0")  # the count of "-", once data holds no "0"
-    if (data.translate(None, b" -1\n") or data.count(b" -1") != zeros
-            or len(data) != (2 * width + 1) * len(lines) + zeros - 1):
-        return None
+        signs, _, biases = zip(*[line.rpartition(b" ") for line in block.split(b"\n")])
+        signs = b"\n".join(signs)
+    pairs = int.from_bytes(signs.translate(_CODES), "big") * 0x110  # 16 * previous + own
+    digits = pairs.to_bytes(len(signs) + 1, "big").translate(_PAIRS, b"\xd1\x10")
     rows = digits.split(b"\n")
-    if set(map(len, rows)) != {width}:
+    if b"x" in digits or set(map(len, rows)) != {width}:
         return None
-    values = [int(row, 2) for row in rows]
+    values = list(map(int, rows, repeat(2)))
     if radius is not None and biases != tuple(
-            [str(radius - value.bit_count() + 1) for value in values]):
+            [b"%d" % (radius - value.bit_count() + 1) for value in values]):
         return None
     return values
 
@@ -305,12 +301,15 @@ def save_network(net: CC4Network) -> str:
     lines = [f"{MODEL_MAGIC} {2 if q else 1} {net.input_width} {h} {m} {r} {q}".rstrip(" ")]
     for anchor in net.anchors:
         lines.append(f"{_sign_row(anchor, width)} {r - anchor.bit_count() + 1}")
-    lines.extend(_sign_row(column, h) for column in net._columns)
-    return "\n".join(lines) + "\n"
+    lines.extend([*(_sign_row(column, h) for column in net._columns), ""])  # "": final newline
+    return "\n".join(lines)
 
 
-def _lines(text: str) -> list[str]:
-    """Only LF or CR LF ends a line, and the final newline ends the last line."""
+def _lines(text: str | bytes) -> list[str]:
+    """Only LF or CR LF ends a line, and the final newline ends the last line.
+    Bytes decode as ASCII, each other byte kept as its surrogate escape."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii", "surrogateescape")
     if "\r" in text:  # a one-character search, far cheaper than replace's own
         text = text.replace("\r\n", "\n")
     lines = text.split("\n")
@@ -370,56 +369,74 @@ def _row(line: str, lineno: int, width: int, radius: int | None = None) -> None:
     raise ValueError(f"hidden row {lineno - 1} (line {lineno}): {fault}")
 
 
-def _read(lines: list[str], first: int, width: int, radius: int | None = None) -> list[int]:
-    """_read_rows of the rows that start on line first, in blocks of about
-    _BLOCK characters. A block it rejects is read again a row at a time, so
-    that _row names the first fault in file order."""
-    step = max(1, _BLOCK // (2 * width))
+def _read(model: str | bytes, data: bytes, start: int, stop: int, width: int,
+          radius: int | None = None) -> list[int]:
+    """_read_rows of the rows in data[start:stop], in windows of about _BLOCK
+    bytes cut at a newline, CR LF folded. A window it rejects is read again a
+    row at a time from model, so that _row names the first fault in file order."""
     values = []
-    for k in range(0, len(lines), step):
-        block = _read_rows(lines[k:k + step], width, radius)
+    while start < stop:  # end: the window's newline, or stop after a last row with none
+        end = data.find(b"\n", min(start + _BLOCK, stop - 1), stop) % (stop + 1)
+        window = data[start:end]
+        if b"\r" in window:  # a one-byte search, far cheaper than replace's own
+            window = data[start:end + 1].replace(b"\r\n", b"\n").removesuffix(b"\n")
+        block = _read_rows(window, width, radius)
         if block is None:
-            for lineno, line in enumerate(lines[k:k + step], first + k):
-                if _read_rows([line], width, radius) is None:
+            first = data.count(b"\n", 0, start) + 1
+            for lineno, line in enumerate(_lines(model[start:end + 1]), first):
+                if _read_rows(line.encode("ascii", "replace"), width, radius) is None:
                     _row(line, lineno, width + (radius is not None), radius)
         values += block
+        start = end + 1
     return values
 
 
-def load_network(text: str) -> CC4Network:
+def load_network(model: str | bytes) -> CC4Network:
     """Parse the weight form: exactly the text save_network writes, whose
     hidden rows are +1/-1 signs followed by the bias r - s + 1 training writes.
-    A block of rows the exact read rejects is read again a row at a time, and
-    the first row it rejects field by field to name its fault, so the first
-    fault in file order is the one reported.
+    model is that text, read as ASCII with "?" for any other character so
+    that offsets stay, or a model file's bytes. A window of rows the exact
+    read rejects is read again a row at a time, and the first row it rejects
+    field by field, so the first fault in file order is the one reported.
     A form feed or a bare CR stays inside its row (see _lines)."""
-    lines = _lines(text)
-    if not lines:
+    data = model.encode("ascii", "replace") if isinstance(model, str) else model
+    if not data:
         raise ValueError("empty model text")
-    header = lines[0].split()
+    start = data.find(b"\n") + 1 or len(data)
+    line = _lines(model[:start])[0]
+    header = line.split()
     if len(header) < 6 or header[0] != MODEL_MAGIC:
-        raise ValueError(f"line 1: bad model header: {_quote(lines[0])}")
+        raise ValueError(f"line 1: bad model header: {_quote(line)}")
     try:
         version, n, h, m, radius = (int(f) for f in header[1:6])
     except ValueError:
         raise ValueError(
-            f"line 1: non-integer field in model header: {_quote(lines[0])}") from None
+            f"line 1: non-integer field in model header: {_quote(line)}") from None
     if n < 2 or h < 1 or m < 1 or radius < 0:
         raise ValueError(f"line 1: model header needs n >= 2, h >= 1, m >= 1, r >= 0: "
-                         f"{_quote(lines[0])}")
+                         f"{_quote(line)}")
     quantizer = " ".join(header[6:])
     canonical = f"{MODEL_MAGIC} {version} {n} {h} {m} {radius} {quantizer}".rstrip(" ")
-    if lines[0] != canonical:
-        raise ValueError(f"line 1: model header {_quote(lines[0], canonical)}"
-                         f" is not in canonical form {_quote(canonical, lines[0])}")
+    if line != canonical:
+        raise ValueError(f"line 1: model header {_quote(line, canonical)}"
+                         f" is not in canonical form {_quote(canonical, line)}")
     if version != (2 if quantizer else 1):
         raise ValueError(f"line 1: version {version} with {len(header) - 6} quantizer words")
-    if len(lines) != 1 + h + m:
-        raise ValueError(f"expected {1 + h + m} lines, found {len(lines)}")
-
-    anchors = _read(lines[1:1 + h], 2, n - 1, radius)
-    columns = _read(lines[1 + h:], 2 + h, h)
-    labels = tuple(int("".join(bits), 2) for bits in zip(*[f"{c:0{h}b}" for c in columns]))
+    found = data.count(b"\n") + (not data.endswith(b"\n"))
+    if found != 1 + h + m:
+        raise ValueError(f"expected {1 + h + m} lines, found {found}")
+    out = len(data) - data.endswith(b"\n")
+    for _ in range(m):  # back to the newline before the first output row
+        out = data.rfind(b"\n", 0, out)
+    anchors = _read(model, data, start, out + 1, n - 1, radius)
+    columns = _read(model, data, out + 1, len(data), h)
+    size = -(-m // 8)  # labels as _columns reversed: h lanes of size bytes, in one text
+    bits = bytearray(b"0") * (8 * size * h)
+    for k, column in enumerate(columns):
+        bits[8 * size - m + k::8 * size] = format(column, f"0{h}b").encode()
+    lanes = int(bits, 2).to_bytes(size * h, "big")
+    labels = tuple(lanes) if size == 1 else tuple(
+        [int.from_bytes(lanes[j:j + size], "big") for j in range(0, size * h, size)])
     # a version 2 label is one class: the columns cover every neuron, once
     if quantizer and (reduce(int.__or__, columns) != (1 << h) - 1
                       or sum(column.bit_count() for column in columns) != h):

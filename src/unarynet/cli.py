@@ -136,8 +136,10 @@ def _cmd_train(args) -> int:
     samples = dataset.quantize_encode(ds, q)
     words = dataset.quantizer_words(q, ds.feature_ranges)
     net = cc4.train(samples, args.radius).replace(quantizer=words)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(cc4.save_network(net))
+    text = cc4.save_network(net)  # ASCII: the quantizer words are numbers
+    with open(args.out, "wb") as fh:  # encoded a window at a time, not as one copy
+        for k in range(0, len(text), cc4._BLOCK):
+            fh.write(text[k:k + cc4._BLOCK].encode("ascii"))
     print(f"trained n={net.input_width} h={net.hidden_count} "
           f"m={net.output_count} r={net.radius} -> {args.out}")
     return 0
@@ -146,10 +148,10 @@ def _cmd_train(args) -> int:
 def _load_model(path: str):
     from . import cc4
     # a non-ASCII byte or a bare \r goes on to load_network, whose error names its line
-    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return cc4.load_network(text)
+        return cc4.load_network(data)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

@@ -89,14 +89,14 @@ def parse_dataset(text: str, source: str = "<data>", dense: bool = True) -> Data
     body = list(filter(None, lines[1:]))  # an empty line is skipped
     if not body:
         raise ValueError(f"{source}: no rows")
-    fields = ",".join(body)
+    fields = ",".join(body).encode("ascii", "replace")
     try:
         # int() also reads "+3", " 7"; a data row holds only these characters
-        if fields.encode("ascii", "replace").translate(None, b"0123456789,-"):
+        if fields.translate(None, b"0123456789,-"):
             raise ValueError
         if set(map(str.count, body, repeat(","))) != {arity}:
             raise ValueError
-        values = tuple(map(int, fields.split(",")))
+        values = tuple(map(int, fields.split(b",")))
         labels = values[arity::stride]
         if min(labels) < 0:
             raise ValueError
@@ -191,14 +191,14 @@ def quantize_encode(
     together into one word per row. Only once a column or a label has failed
     are the rows replayed a value at a time, to name the first faulty row and
     feature."""
-    if not ds.labels:
+    count, rows = len(ds.feature_names), len(ds.labels)
+    if not count == len(ds.columns) == len(ds.feature_ranges):  # the zips below would cut
+        raise ValueError(f"feature count mismatch: feature_names has {count}, columns has "
+                         f"{len(ds.columns)}, feature_ranges has {len(ds.feature_ranges)}")
+    if not rows:
         raise ValueError("dataset has no rows to encode")
     length, bins, fixed = q.length, q.bins, q.family == "fixed"
     classes = ds.num_classes if classes is None else classes
-    count, rows = len(ds.feature_ranges), len(ds.labels)
-    if len(ds.columns) != count:
-        raise ValueError(f"feature count mismatch: rows have {len(ds.columns)}, "
-                         f"feature_ranges has {count}")
     for k, column in enumerate(ds.columns):  # zip below would cut them to the shortest
         if len(column) != rows:
             raise ValueError(f"feature {ds.feature_names[k]!r} has {len(column)} rows, "

@@ -2,6 +2,7 @@ import random
 import re
 import tracemalloc
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -693,19 +694,22 @@ class TestSerialization:
             assert re.search(rf"(^|\()line {bad + 1}[:)]", str(info.value)), str(info.value)
 
     def test_blocks_of_rows_name_the_first_fault(self):
-        # at n - 1 = 2 000 the hidden rows are read in blocks of 16: a fault
-        # at either end of a block, with another on an output row, is named
-        # by its own row and line
+        # at n - 1 = 2 000 a window of _BLOCK bytes holds about 14 hidden
+        # rows: a fault in the row that ends a window or the one after it,
+        # with another on an output row, is named by its own row and line
         width, h = 2000, 40
-        step = cc4._BLOCK // (2 * width)
-        assert step == 16
         rng = random.Random(4)
         net = CC4Network(3, width, 2, tuple(rng.getrandbits(width) for _ in range(h)),
                          tuple(rng.randrange(4) for _ in range(h)))
         lines = save_network(net).split("\n")
-        assert load_network("\n".join(lines)) == net
+        text = "\n".join(lines)
+        assert load_network(text) == net
+        ends, at = [], len(lines[0])  # the rows whose newline ends a window
+        while (at := text.find("\n", at + 1 + cc4._BLOCK)) >= 0:
+            ends.append(text.count("\n", 0, at))  # hidden row k ends on line k + 1
+        assert ends == [14, 28]
         lines[h + 2] = lines[h + 2].replace(" ", "  ", 1)
-        for row in (1, step, step + 1, 2 * step, 2 * step + 1, h):
+        for row in (1, *ends, *(k + 1 for k in ends), h):
             broken = lines.copy()
             broken[row] = broken[row].replace(" ", "  ", 1)
             with pytest.raises(ValueError, match=rf"^hidden row {row} \(line {row + 1}\): not in"):
@@ -908,6 +912,26 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_load_model_peaks_near_the_file_size(self, tmp_path):
+        # a model of about 1 MB is read as its bytes, a window at a time: no
+        # whole-file text, line list or re-encoded copy beside them
+        from unarynet.cli import _load_model
+        rng = random.Random(9)
+        net = CC4Network(3, 256, 4, tuple(rng.getrandbits(256) for _ in range(1600)),
+                         tuple(rng.randrange(16) for _ in range(1600)))
+        path = tmp_path / "m.cc4"
+        path.write_text(save_network(net), encoding="ascii")
+        size = path.stat().st_size
+        assert 900_000 < size < 1_100_000
+        tracemalloc.start()
+        try:
+            loaded = _load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == net
+        assert peak < 1.5 * size, (peak, size)
+
     def test_network_invariants_enforced(self):
         with pytest.raises(ValueError, match="radius"):
             CC4Network(-1, 1, 1, (1,), (1,))
@@ -925,3 +949,117 @@ class TestSerialization:
         for label in (-1, 2):
             with pytest.raises(ValueError, match="label outside 1 bits"):
                 CC4Network(1, 1, 1, (0,), (label,))
+
+
+def _outcome(model):
+    """load_network's network, or its message."""
+    try:
+        return load_network(model)
+    except ValueError as e:
+        return str(e)
+
+
+class TestByteWindows:
+    """load_network reads a model's bytes a window of about _BLOCK bytes at a
+    time; a str is read as the same bytes, and a window it refuses is read
+    again a row at a time as text."""
+
+    @staticmethod
+    def model(h, width, m, seed=5, quantizer=""):
+        rng = random.Random(seed)
+        labels = [1 << rng.randrange(m) if quantizer else rng.getrandbits(m) for _ in range(h)]
+        return CC4Network(2, width, m, tuple(rng.getrandbits(width) for _ in range(h)),
+                          tuple(labels), quantizer)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_text_and_bytes_load_alike(self, data):
+        # the same network or the same message from a str and from its bytes,
+        # under a one-character edit, CR LF or bare CR line ends, a missing
+        # final newline, and non-ASCII bytes (their surrogate escapes in the
+        # str), at window sizes that cut rows anywhere
+        h, width, m = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 20)), data.draw(
+            st.sampled_from([1, 2, 8, 9]))
+        v2 = data.draw(st.booleans())
+        net = self.model(h, width, m, data.draw(st.integers(0, 99)),
+                         f"fixed {width} {width} 1 2" if v2 else "")
+        text = save_network(net)
+        at = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.sampled_from("1-0+ \t\r\n\x0c\x7f") | st.sampled_from(
+            ["\r\n", "\udc80", "\udcff", "\udcc3\udca9", ""]))
+        cut = data.draw(st.integers(0, 1 if at < len(text) else 0))
+        text = text[:at] + char + text[at + cut:]
+        if data.draw(st.booleans()):
+            text = text.replace("\n", data.draw(st.sampled_from(["\r\n", "\r\r\n"])))
+        if data.draw(st.booleans()):
+            text = text.rstrip("\n")
+        raw = text.encode("ascii", "surrogateescape")
+        with mock.patch.object(cc4, "_BLOCK", data.draw(st.sampled_from([1, 5, 40, 1 << 16]))):
+            got = _outcome(text)
+            assert _outcome(raw) == got
+        assert _outcome(text) == got  # and the default window reads it alike
+
+    @pytest.mark.parametrize("m", [1, 8, 9, 16, 17])
+    @pytest.mark.parametrize("block", [1, 7, 64, 200, 1 << 16])
+    def test_windows_cut_anywhere_read_the_same_network(self, m, block):
+        # a window of 1 byte holds one row; of 64 or 200 bytes it ends inside
+        # a hidden row; of 64 KB it would hold the whole model, and is cut
+        # where the output rows begin; the labels take one byte up to m = 8,
+        # two up to 16 and three at 17
+        net = self.model(30, 40, m)
+        text = save_network(net)
+        with mock.patch.object(cc4, "_BLOCK", block):
+            for form in (text, text.encode(), text.removesuffix("\n"),
+                         text.replace("\n", "\r\n").encode()):
+                assert load_network(form) == net
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 200, 1 << 16])
+    def test_first_fault_named_whatever_the_window(self, block):
+        # a fault in each hidden row or each output row is named by its own
+        # line, with a second fault after it in the file
+        net = self.model(12, 20, 3)
+        lines = save_network(net).split("\n")
+        with mock.patch.object(cc4, "_BLOCK", block):
+            for row in range(1, 16):
+                broken = lines.copy()
+                broken[row] = broken[row].replace(" ", "  ", 1)
+                broken[15] = broken[15] + " "
+                message = (f"hidden row {row} (line {row + 1}): not in canonical form"
+                           if row <= 12 else f"line {row + 1}: output row is not in canonical")
+                for form in ("\n".join(broken), "\r\n".join(broken).encode()):
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                        load_network(form)
+
+    def test_a_row_straddling_the_window_end(self):
+        # at the default _BLOCK, 2 000-bit hidden rows cross each window's
+        # end; a fault on either side of the cut, or in the row the cut falls
+        # in, is named by its line
+        net = self.model(40, 2000, 2)
+        text = save_network(net)
+        assert load_network(text.encode()) == net
+        cut = text.index("\n", cc4._BLOCK + len(text.split("\n")[0]) + 1)
+        row = text.count("\n", 0, cut)  # the row the first window's cut ends
+        for at, lineno in ((cut - 1, row + 1), (cut + 1, row + 2)):  # bias, first sign
+            broken = text[:at] + "x" + text[at + 1:]
+            with pytest.raises(ValueError, match=f"^line {lineno}: non-integer weight"):
+                load_network(broken.encode())
+
+    @pytest.mark.parametrize("text, message", [
+        ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n\n", "line 3: output row has 0 fields, expected 1"),
+        ("CC4 1 5 2 1 1\n\n-1 -1 -1 -1 2\n1 1\n", "line 2: hidden row has 0 fields, expected 5"),
+        ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n1\r", "line 3: output row is not in canonical form: "
+                                           "'1\\r'"),
+        ("CC4 1 5 1 1 1\n-1 -1 -1 -1 2\r\r\n1\n", "hidden row 1 (line 2): not in canonical "
+                                               "form: '-1 -1 -1 -1 2\\r'"),
+    ])
+    def test_empty_rows_and_carriage_returns_at_a_window_end(self, text, message):
+        for form in (text, text.encode()):
+            with pytest.raises(ValueError) as info:
+                load_network(form)
+            assert str(info.value) == message
+
+    def test_a_bytes_line_is_quoted_with_its_surrogate_escapes(self):
+        # as the command line decodes a model file: each non-ASCII byte stays
+        with pytest.raises(ValueError) as info:
+            load_network(b"CC4 1 5 1 1 1\n-1 -1 -1 -1 2\n1\xff\n")
+        assert str(info.value) == "line 3: non-integer weight in output row: '1\\udcff'"

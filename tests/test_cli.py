@@ -456,6 +456,17 @@ class TestEvalEncodesAsTrained:
         code, out, err = run(capsys, "eval", "--model", model, "--data", str(data), "--clamp")
         assert (code, out, err) == (0, self.report(1, 0, [1, 0, 0, 0]), "")
 
+    def test_clamp_puts_values_outside_the_range_in_the_end_bins(self, capsys, tmp_path):
+        # training range 1..4 at one bin per value: 0 clamps to 1 (class 0)
+        # and 5 to 4 (class 3); a clamp one value off gets two of them wrong
+        model = self.train(capsys, tmp_path, "--bins", "4", "--length", "4")
+        data = tmp_path / "outside.csv"
+        data.write_text("angle,label\n0,0\n1,0\n5,3\n")
+        code, out, err = run(capsys, "eval", "--model", model, "--data", str(data), "--clamp")
+        assert (code, err) == (0, "")
+        assert out == ("samples\t3\nexact_matches\t3\naccuracy\t1.0000\nno_decision\t0\n"
+                       "class\t0001\t1/1\nclass\t1000\t2/2\n")
+
     @pytest.mark.parametrize("flags", [["--bins", "4", "--length", "6"],
                                        ["--bins", "4", "--length", "4", "--family", "one-hot"]],
                              ids=["length-6", "one-hot"])
@@ -593,6 +604,9 @@ class TestSweep:
         assert err == ("error: --r-max 10000000000 exceeds the pattern width 4 "
                        "(features x length = 1 x 4)\n")
         assert peak < 1 << 20
+        # one past the width is the first radius refused
+        assert run(capsys, "sweep", "--data", ANGLES, "--r-min", "0", "--r-max", "5") == (
+            1, "", "error: --r-max 5 exceeds the pattern width 4 (features x length = 1 x 4)\n")
 
     @pytest.mark.parametrize("flags, message", [
         (["--bins", "-3"], "bins must be >= 1"),

@@ -228,6 +228,12 @@ class TestBinning:
     def test_clamp(self):
         assert bin_column((13, -2), 0, 12, 4, clamp=True) == [3, 0]
 
+    def test_clamp_at_one_bin_per_value(self):
+        # bins = span: each value of 3..7 has its own bin, so a value clamped
+        # to lo or hi must land in exactly lo's or hi's bin, not a neighbour's
+        values = (-4, 0, 2, 3, 4, 5, 6, 7, 8, 9, 100)
+        assert bin_column(values, 3, 7, 5, clamp=True) == [0, 0, 0, 0, 1, 2, 3, 4, 4, 4, 4]
+
     def test_out_of_range_message_names_value_and_range(self):
         # the first value outside the range, in column order
         with pytest.raises(ValueError) as got:
@@ -312,7 +318,26 @@ class TestQuantizeEncode:
         ds = dataclasses.replace(parse_dataset(csv), feature_ranges=ranges)
         with pytest.raises(ValueError) as e:
             quantize_encode(ds, QuantizationSpec(4, 4))
-        assert str(e.value) == f"feature count mismatch: rows have {got}, feature_ranges has 2"
+        assert str(e.value) == (f"feature count mismatch: feature_names has {got}, "
+                                f"columns has {got}, feature_ranges has 2")
+
+    @pytest.mark.parametrize("names, columns, ranges, counts", [
+        # one name for two short-and-long columns: an IndexError before
+        (("a",), ((1, 3), (2,)), ((0, 9), (0, 9)), (1, 2, 2)),
+        # a range fault in the unnamed column: it lost its row and feature
+        (("a",), ((1, 3), (2, 12)), ((0, 9), (0, 9)), (1, 2, 2)),
+        # one name for two good columns: it encoded silently
+        (("a",), ((1, 3), (2, 4)), ((0, 9), (0, 9)), (1, 2, 2)),
+        (("a", "b"), ((1, 3),), ((0, 9),), (2, 1, 1)),
+    ], ids=["short-column", "range-fault", "silent", "two-names"])
+    def test_names_columns_and_ranges_counted_before_any_column(self, names, columns,
+                                                                ranges, counts):
+        ds = Dataset(names, columns, (0, 1), ranges)
+        for clamp in (False, True):
+            with pytest.raises(ValueError) as e:
+                quantize_encode(ds, QuantizationSpec(4, 4), clamp=clamp)
+            assert str(e.value) == ("feature count mismatch: feature_names has {}, "
+                                    "columns has {}, feature_ranges has {}".format(*counts))
 
     def test_every_row_must_match_ranges(self):
         # a set built in code may lack a column, or hold a short one: it is
@@ -320,7 +345,8 @@ class TestQuantizeEncode:
         ds = Dataset(("a",), ((1, 3),), (0, 1), ((0, 9), (0, 9)))
         with pytest.raises(ValueError) as e:
             quantize_encode(ds, QuantizationSpec(4, 4))
-        assert str(e.value) == "feature count mismatch: rows have 1, feature_ranges has 2"
+        assert str(e.value) == ("feature count mismatch: feature_names has 1, columns has 1, "
+                                "feature_ranges has 2")
         for columns, message in [(((1, 3), (2,)), "feature 'b' has 1 rows, labels has 2"),
                                  (((1, 3, 5), (2, 4)), "feature 'a' has 3 rows, labels has 2")]:
             ds = Dataset(("a", "b"), columns, (0, 1), ((0, 9), (0, 9)))

@@ -30,6 +30,14 @@ def test_load_network(text):
     _only_value_error(load_network, text)
 
 
+@settings(max_examples=300)
+@given(st.one_of(st.binary(), st.lists(st.sampled_from(
+    [b"1", b"-1", b"-", b"0", b" ", b"\n", b"\r", b"\r\n", b"2", b"\x80", b"\xff", b"\xc3\xa9"]),
+    max_size=60).map(lambda parts: b"CC4 1 5 1 1 1\n" + b"".join(parts))))
+def test_load_network_bytes(data):
+    _only_value_error(load_network, data)
+
+
 _QUANTIZER = "fixedon_h0123456789-+ \t"
 
 
