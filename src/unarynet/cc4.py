@@ -435,8 +435,7 @@ def load_network(model: str | bytes) -> CC4Network:
     for k, column in enumerate(columns):
         bits[8 * size - m + k::8 * size] = format(column, f"0{h}b").encode()
     lanes = int(bits, 2).to_bytes(size * h, "big")
-    labels = tuple(lanes) if size == 1 else tuple(
-        [int.from_bytes(lanes[j:j + size], "big") for j in range(0, size * h, size)])
+    labels = tuple([int.from_bytes(lanes[j:j + size], "big") for j in range(0, size * h, size)])
     # a version 2 label is one class: the columns cover every neuron, once
     if quantizer and (reduce(int.__or__, columns) != (1 << h) - 1
                       or sum(column.bit_count() for column in columns) != h):

@@ -136,10 +136,8 @@ def _cmd_train(args) -> int:
     samples = dataset.quantize_encode(ds, q)
     words = dataset.quantizer_words(q, ds.feature_ranges)
     net = cc4.train(samples, args.radius).replace(quantizer=words)
-    text = cc4.save_network(net)  # ASCII: the quantizer words are numbers
-    with open(args.out, "wb") as fh:  # encoded a window at a time, not as one copy
-        for k in range(0, len(text), cc4._BLOCK):
-            fh.write(text[k:k + cc4._BLOCK].encode("ascii"))
+    with open(args.out, "w", encoding="ascii") as fh:
+        fh.write(cc4.save_network(net))
     print(f"trained n={net.input_width} h={net.hidden_count} "
           f"m={net.output_count} r={net.radius} -> {args.out}")
     return 0
