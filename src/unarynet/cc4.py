@@ -42,6 +42,12 @@ _BLOCK = 1 << 16
 # tests at n = 256
 _PLAIN = 128
 
+# up to this many kept are read off the kept int's top bits, 0.2, 0.27 and 0.8 us each
+# at h = 500, 2 000 and 20 000; more from its bytes by _LANE, 0.9, 2 and 16 us plus
+# 0.1-0.2 us each: the two cross at 12-16, 16-20 and 24-32 kept (timeit, random kept)
+_WALK = 16
+_LANE = re.compile(b"\x80")
+
 # _POPCOUNT[v]: the number of 1s in byte v
 _POPCOUNT = bytes(v.bit_count() for v in range(256))
 
@@ -110,36 +116,33 @@ class CC4Network(Record):
         return len(self.anchors)
 
     @cached_property
-    def _blocks(self) -> tuple[int, list[tuple[int, bytes]], list[bytes], dict] | None:
-        """_near's index, or None where it would not pay: every anchor of one
-        weight, as in one-hot codes, where the filter keeps nearly all. Only a
-        network of more than _PLAIN anchors reads it. Derived, as is _columns,
-        so not a field: ==, hash, repr and the model text see none. Words are
-        cut into blocks of size bytes (mask: 8 * size 1s): at most 8 up to 248
-        bytes, none over 31. One bulk pass weighs the anchors' blocks: all
-        their byte popcounts as one int, plus it shifted by 1 to size - 1
-        bytes, at most 248, so no lane carries. columns holds (shift, col) for
-        the block at bit shift, col[i] its weight in anchor i. A block with one
-        weight in every anchor (as one-hot segments filling whole blocks) tells
-        none apart and is left out; as the anchor weights differ, some block is
-        left. tables[w][u] = min(|u - w|, 255 // len(columns)), so one anchor's
-        terms add up within a byte. The dict is _near's cache: h lanes per
-        (shift, query weight)."""
-        weight = self.anchors[0].bit_count()
-        if all(a.bit_count() == weight for a in self.anchors):
+    def _blocks(self) -> tuple | None:
+        """_near's index, or None where it would not pay: every anchor of one weight, as
+        in one-hot codes, where the filter keeps nearly all. Only a network of more than
+        _PLAIN anchors reads it; derived, not a field, so ==, hash, repr and the model text
+        see none. Words are cut into blocks of size bytes (at most 8 up to 248 bytes, none
+        over 31). Times spread, each byte's popcount adds into the size - 1 bytes above it
+        with no carry (at most 248): byte j + size - 1 is the weight of the block at byte
+        j, for every anchor's blocks in one pass, as _near weighs a query. Block k is
+        (column, terms): column[i] is its weight in anchor i, terms[w] the h lanes
+        min(|w - column[i]|, clip) as one int, made on the first query of weight w there.
+        The clip, 255 // blocks that vary, keeps a sum in a byte; a block of one weight in
+        all anchors has terms 0. top, limit: 0x80 and _near's c in each lane; below: t < 128."""
+        if len({a.bit_count() for a in self.anchors}) == 1:
             return None
         nbytes = -(-self.pattern_width // 8)
         size = min(-(-nbytes // 8), 31)
         stride = -(-nbytes // size) * size
+        spread = int.from_bytes(b"\1" * size, "little")
         pops = b"".join([a.to_bytes(stride, "little") for a in self.anchors]).translate(_POPCOUNT)
-        x = int.from_bytes(pops, "little")
-        lanes = sum(x >> s for s in range(0, 8 * size, 8)).to_bytes(len(pops), "little")
-        columns = [(8 * j, col) for j in range(0, stride, size)
-                   if (col := lanes[j::stride]).count(col[0]) < len(col)]
-        clip = bytes(min(u, 255 // len(columns)) for u in range(256))
-        tables = [(bytes(range(w, 0, -1)) + bytes(range(256 - w))).translate(clip)
-                  for w in range(8 * size + 1)]
-        return (1 << 8 * size) - 1, columns, tables, {}
+        sums = (int.from_bytes(pops, "little") * spread).to_bytes(len(pops) + size - 1, "little")
+        columns = [sums[j::stride] for j in range(size - 1, stride, size)]
+        varied = [column.count(column[0]) < len(column) for column in columns]
+        clip = bytes(min(u, 255 // sum(varied)) for u in range(256))
+        blocks = [(col, [None if v else 0] * (8 * size + 1)) for col, v in zip(columns, varied)]
+        ones, t = int.from_bytes(b"\1" * len(self.anchors), "little"), min(self.radius, 255) + 1
+        return (stride, size, spread, blocks, clip, 128 * ones,
+                (t if t < 128 else t - 128) * ones, t < 128)
 
     @cached_property
     def _columns(self) -> list[int]:
@@ -177,67 +180,64 @@ def train(samples: list[TrainingSample], radius: int) -> CC4Network:
     return CC4Network(radius, in_width, out_width, tuple(anchors), tuple(labels))
 
 
-def _near(blocks, query: int, radius: int) -> bytes:
-    """flags[i] is 1 for each i that the block weights do not place farther
-    than radius from the query, else 0. A block's weight difference is at
-    most the distance within it, so sum_j |w_j(x) - w_j(a)| <= d(x, a),
-    clipped or not; the terms add in one byte lane per anchor. The query's
-    weight w in a block is the popcount of its own bits there, and the
-    block's terms depend only on w, so they are cached per (shift, w)."""
-    mask, columns, tables, cache = blocks
-    total = 0
-    for shift, column in columns:
-        w = (query >> shift & mask).bit_count()
-        if (shift, w) not in cache:
-            cache[shift, w] = int.from_bytes(column.translate(tables[w]), "little")
-        total += cache[shift, w]
-    h, r = len(columns[0][1]), min(radius, 255)  # a lane holds at most 255
-    return total.to_bytes(h, "little").translate(b"\1" * (r + 1) + bytes(255 - r))
+def _near(blocks, query: int) -> int:
+    """Bit 8i + 7 set for each anchor i that the block weights do not place farther than
+    r from the query, all else 0. A block's weight difference is at most the distance
+    within it, so lane i, sum_j |w_j(x) - w_j(a_i)|, clipped or not, is at most d(x, a_i),
+    and is d(x, a_i) below the clip when each block is one thermometer segment. Lane L is
+    kept when L < t = min(r, 255) + 1. Each lane of total | top is 128 + (L & 0x7F), and
+    limit takes c = t (t < 128) or t - 128 <= 128 from it, so no lane of D goes below 0 or
+    borrows, and its top bit is L & 0x7F >= c. So L >= t is the top bit of total | D for
+    t < 128, of total & D for t >= 128, and never set at t = 256, which keeps every lane."""
+    stride, size, spread, columns, clip, top, limit, below = blocks
+    pops = int.from_bytes(query.to_bytes(stride, "little").translate(_POPCOUNT), "little")
+    weights, total = (pops * spread).to_bytes(stride + size - 1, "little")[size - 1::size], 0
+    for w, (column, terms) in zip(weights, columns):
+        lanes = terms[w]
+        if lanes is None:
+            table = (bytes(range(w, 0, -1)) + bytes(range(256 - w))).translate(clip)
+            lanes = terms[w] = int.from_bytes(column.translate(table), "little")
+        total += lanes
+    d = (total | top) - limit
+    return ((total | d) if below else (total & d)) & top ^ top
 
 
-def _ones(flags: bytes) -> Iterator[int]:
-    """Each i where flags[i] is 1."""
-    at = flags.find(1)
-    while at >= 0:
-        yield at
-        at = flags.find(1, at + 1)
+def _tops(kept: int) -> Iterator[int]:
+    """Each i whose bit 8i + 7 is set in kept, highest first."""
+    while kept:
+        kept ^= 1 << (top := kept.bit_length() - 1)
+        yield top >> 3
 
 
 def hidden_activations(net: CC4Network, x: BitWord) -> BitWord:
     """Bit i is 1 iff d(x, anchor i) <= r.
 
-    Each anchor left to test gets the exact test, in neuron order, in one of
-    three loops, each the cheapest where it runs. A network of at most _PLAIN
-    anchors tests them all, shifting each fire bit into an int. Past that,
-    the weights of blocks of the words narrow which anchors are tested
-    (_near): their summed differences bound d(x, a) from below, and equal it
-    (below the clip) when each block is one thermometer segment, whose weight
-    is the value it codes. Up to a tenth of h kept are found with bytes.find
-    (_ones), so only they cost Python steps, and each fired one sets its bit
-    in ceil(h / 8) bytes. A denser kept set, or all h where no filter is
-    kept, is one flat pass that writes each fired neuron's character into an
-    ASCII word."""
+    Each anchor left to test gets the exact test in one of three loops. At most _PLAIN
+    anchors are all tested, each fire bit shifted into an int; past that, the block
+    filter (_near) keeps the anchors to test. Up to a tenth of h kept are read off the
+    kept int, by its top bits (_tops) up to _WALK of them, else from its bytes, and each
+    fired one sets its bit in ceil(h / 8) bytes. More kept, or no filter, writes ASCII."""
     if x.width != net.pattern_width:
         raise ValueError(
             f"query length {x.width} != pattern width {net.pattern_width}"
         )
     query, radius, anchors = x.value, net.radius, net.anchors
-    h = len(anchors)
-    if h <= _PLAIN:
+    if (h := len(anchors)) <= _PLAIN:
         fired = 0
         for anchor in anchors:
             fired = fired << 1 | ((query ^ anchor).bit_count() <= radius)
         return BitWord(fired, h)
-    blocks = net._blocks
-    flags = _near(blocks, query, radius) if blocks else None
-    if flags is not None and 10 * flags.count(1) <= h:
+    kept = _near(blocks, query) if (blocks := net._blocks) else None
+    count = h if kept is None else kept.bit_count()
+    if 10 * count <= h:
         bits = bytearray(-(-h // 8))  # neuron i at bit 7 - i % 8 of byte i // 8
-        for i in _ones(flags):
+        for i in _tops(kept) if count <= _WALK else map(
+                re.Match.start, _LANE.finditer(kept.to_bytes(h, "little"))):
             if (query ^ anchors[i]).bit_count() <= radius:
                 bits[i >> 3] |= 128 >> (i & 7)
         return BitWord(int.from_bytes(bits, "big") >> -h % 8, h)
     word = bytearray(b"0") * h  # neuron i at index i
-    for i in range(h) if flags is None else compress(range(h), flags):
+    for i in range(h) if kept is None else compress(range(h), kept.to_bytes(h, "little")):
         if (query ^ anchors[i]).bit_count() <= radius:
             word[i] = 49  # "1"
     return BitWord(int(word, 2), h)

@@ -278,7 +278,7 @@ class TestInference:
             infer(net, x)
             if net is wide:
                 assert vars(net).keys() - vars(fresh).keys() == {"_blocks", "_columns"}
-                assert vars(net)["_blocks"][-1]  # the filter's cached lanes
+                assert cached_lanes(net)  # the filter's cached lanes
             else:  # at most 128 anchors: every one is tested, and no index built
                 assert vars(net).keys() - vars(fresh).keys() == {"_columns"}
             assert net == fresh and hash(net) == hash(fresh) and repr(net) == repr(fresh)
@@ -316,8 +316,21 @@ def block_weights(word, width):
 
 
 def cached_lanes(net):
-    """The block filter's cached lanes so far, by (block shift, query weight)."""
-    return dict(vars(net)["_blocks"][-1]) if vars(net).get("_blocks") else {}
+    """The block filter's cached lanes so far, by (block, query weight), of
+    the blocks whose weight is not the same in every anchor."""
+    index = vars(net).get("_blocks")
+    return {} if not index else {
+        (k, w): lanes for k, (column, terms) in enumerate(index[3])
+        if column.count(column[0]) < len(column)
+        for w, lanes in enumerate(terms) if lanes is not None}
+
+
+def kept_anchors(net, x):
+    """The anchors the block filter keeps for query x, in neuron order: bit
+    8i + 7 of _near's int, whose other bits are all 0."""
+    kept = cc4._near(net._blocks, x)
+    assert kept & ~(0x80 * int.from_bytes(b"\1" * net.hidden_count, "little")) == 0
+    return [i for i in range(net.hidden_count) if kept >> 8 * i + 7 & 1]
 
 
 def flipped(word, width, count, rnd, upward=None):
@@ -410,11 +423,80 @@ class TestBlockFilter:
             if at in twins or at - 1 in twins:
                 after = cached_lanes(net)  # the same ints, not rebuilt
                 assert after.keys() == built.keys() and all(after[k] is built[k] for k in built)
-        mask, columns, _, cache = net._blocks
-        assert mask == (1 << bits) - 1
-        assert cache.keys() == {(shift, block_weights(x, width)[shift // bits])
-                                for shift, _ in columns for x in queries}
-        assert len(cache) <= len(columns) * (bits + 1)
+        size, columns, cache = net._blocks[1], net._blocks[3], cached_lanes(net)
+        assert size == bits // 8
+        varied = [k for k, (column, _) in enumerate(columns) if len(set(column)) > 1]
+        assert cache.keys() == {(k, block_weights(x, width)[k]) for k in varied for x in queries}
+        assert len(cache) <= len(varied) * (bits + 1)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kept_set_is_the_byte_table_marking_of_the_lane_sums(self, data):
+        # _near compares every lane with r in place; the reference adds the
+        # lane sums up anchor by anchor and marks them with a byte table.
+        # n = 2 500 is 11 blocks of 248 bits, the last one 20
+        # bits (padded), with clip 23, so lanes reach 250: past 128, where
+        # the compare switches from | to &, and up to r = 255 and beyond
+        width = data.draw(st.sampled_from([8, 37, 256, 2500]))
+        radius = data.draw(st.sampled_from([0, 126, 127, 128, 129, 254, 255, 256, 10**9])
+                           | st.integers(0, min(width, 260)))
+        h = data.draw(st.integers(129, 300))
+        kind = data.draw(st.sampled_from(["segments", "one-hot", "random"]))
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        blocks, bits = block_layout(width)
+        full = (1 << width) - 1
+        if kind == "segments":  # a thermometer segment in each block
+            anchors = [sum(((1 << rnd.randint(0, bits)) - 1) << p for p in range(0, width, bits))
+                       & full for _ in range(h)]
+        elif kind == "one-hot":  # one 1 per segment, segments straddling blocks
+            seg = rnd.choice([3, 5, 10, 12, 30])
+            anchors = [sum(1 << rnd.randrange(p, min(p + seg, width))
+                           for p in range(0, width, seg)) for _ in range(h)]
+        else:
+            anchors = [rnd.getrandbits(width) for _ in range(h)]
+        anchors[:2] = [0, full]  # weights 0 and n: an index, and the widest lanes
+        net = CC4Network(radius, width, 1, tuple(anchors), (1,) * h)
+        spans = [(p, min(p + bits, width)) for p in range(0, width, bits)]
+        weights = [block_weights(a, width) for a in anchors]
+        varied = [k for k in range(blocks) if len({w[k] for w in weights}) > 1]
+        clip = 255 // len(varied)
+
+        def lanes(x):
+            wx = block_weights(x, width)
+            return [sum(min(abs(wx[k] - w[k]), clip) for k in varied) for w in weights]
+
+        def landing(i, target):
+            # anchor i with bits flipped one way per varied block, so that its
+            # lane, and its distance, is target; None where it cannot be.
+            # Lanes of 127 and 128 sit either side of the compare's switch
+            x, left = anchors[i], target
+            for k in varied:
+                lo, hi = spans[k]
+                ones = [p for p in range(lo, hi) if x >> p & 1]
+                zeros = [p for p in range(lo, hi) if not x >> p & 1]
+                spots = max(ones, zeros, key=len)
+                step = min(left, clip, len(spots))
+                x ^= sum(1 << p for p in rnd.sample(spots, step))
+                left -= step
+            return None if left else x
+
+        queries = [0, full, rnd.getrandbits(width)]
+        for i in rnd.sample(range(h), 3):
+            for t in (radius, radius + 1, 127, 128):
+                if (x := landing(i, t)) is not None:
+                    assert lanes(x)[i] == t
+                    queries.append(x)
+        cut = min(radius, 255)
+        table = b"\1" * (cut + 1) + bytes(255 - cut)
+        for x in queries:
+            sums = lanes(x)
+            marked = bytes(sums).translate(table)
+            kept = kept_anchors(net, x)
+            assert kept == [i for i, flag in enumerate(marked) if flag]
+            fired = [i for i, a in enumerate(anchors) if (x ^ a).bit_count() <= radius]
+            assert set(fired) <= set(kept)
+            want = "".join("01"[(x ^ a).bit_count() <= radius] for a in anchors)
+            assert str(hidden_activations(net, BitWord(x, width))) == want
 
     def test_cached_lanes_grow_with_the_queries_not_the_table(self):
         # n = 2 500: 11 blocks of 31 bytes with 249 weights each, so lanes for
@@ -425,8 +507,8 @@ class TestBlockFilter:
         net = CC4Network(width, width, 1, anchors, (1,) * h)  # r = n: all fire
         queries = [rnd.getrandbits(width) for _ in range(6)]
         hidden_activations(net, BitWord(queries[0], width))
-        mask, columns, _, cache = net._blocks
-        assert len(columns) == 11 and mask == (1 << 8 * 31) - 1 and len(cache) == 11
+        size, columns = net._blocks[1], net._blocks[3]
+        assert len(columns) == 11 and size == 31 and len(cached_lanes(net)) == 11
         for x in queries[1:]:
             tracemalloc.start()
             try:
@@ -436,7 +518,7 @@ class TestBlockFilter:
                 tracemalloc.stop()
             assert fired == (1 << h) - 1
             assert peak < 11 * 2 * h + (1 << 15)
-        assert len(cache) <= 11 * 6
+        assert len(cached_lanes(net)) <= 11 * 6
 
     def test_survivors_are_the_fired_on_aligned_thermometer_segments(self):
         # 8 features of 32-bit thermometer segments: each segment is a block,
@@ -447,7 +529,7 @@ class TestBlockFilter:
         net = CC4Network(20, 256, 1, tuple(thermometer(row, 32) for row in rows), (1,) * 400)
         for row in rows[:20]:
             x = thermometer([min(v + rng.next_below(4), 32) for v in row], 32)
-            kept = [i for i, flag in enumerate(cc4._near(net._blocks, x, net.radius)) if flag]
+            kept = kept_anchors(net, x)
             fired = [i for i, a in enumerate(net.anchors) if (x ^ a).bit_count() <= 20]
             assert kept == fired
 
@@ -473,18 +555,20 @@ class TestBlockFilter:
         assert str(hidden_activations(net, query)) == (
             "".join(str(f) for _, f in cases) + "0" * len(far))
         assert vars(net)["_blocks"] is not None
-        kept = [i for i, flag in enumerate(cc4._near(net._blocks, query.value, 2)) if flag]
+        kept = kept_anchors(net, query.value)
         assert kept == [i for i, a in enumerate(anchors) if abs(a.bit_count() - 4) <= 2]
 
     @pytest.mark.parametrize("h, kept", [
-        *(pytest.param(200, kept, id=str(kept)) for kept in (1, 19, 20, 21, 40)),
-        *(pytest.param(203, kept, id=f"203-{kept}") for kept in (1, 2, 20, 21, 40))])
+        *(pytest.param(200, kept, id=str(kept)) for kept in (1, 16, 17, 19, 20, 21, 40)),
+        *(pytest.param(203, kept, id=f"203-{kept}") for kept in (1, 2, 16, 17, 20, 21, 40))])
     def test_kept_set_on_both_sides_of_the_find_switch(self, h, kept, monkeypatch):
         # n = 8 is one block, so at r = 0 the filter keeps exactly the anchors
         # of the query's weight: here the kept of weight 8 among h. Up to
-        # h / 10 kept are found one by one (_ones) into a packed word, past it
-        # by one pass over all h. At h = 203 the kept take in the first and
-        # last neurons, the first and last bits of a padded packed word.
+        # h / 10 kept are read one by one into a packed word, by the kept
+        # int's top bits (_tops) up to _WALK (16) of them, else from its bytes
+        # (_LANE); past h / 10, by one pass over all h. At h = 203 the kept
+        # take in the first and last neurons, the first and last bits of a
+        # padded packed word.
         rnd = random.Random(kept)
         if h == 203:
             ends = [0, h - 1][:kept]
@@ -493,18 +577,25 @@ class TestBlockFilter:
             at = sorted(rnd.sample(range(h), kept))
         anchors = tuple(255 if i in at else 0 for i in range(h))
         net = CC4Network(0, 8, 1, anchors, (1,) * h)
-        flags = cc4._near(net._blocks, 255, 0)
-        assert [i for i, flag in enumerate(flags) if flag] == at
-        found, ones = [], cc4._ones
+        flags = cc4._near(net._blocks, 255)
+        assert kept_anchors(net, 255) == at
+        found, tops, lane = [], cc4._tops, cc4._LANE
 
-        def spy(flags):
-            found.append(flags)
-            return ones(flags)
+        def spy(kept):
+            found.append(kept)
+            return tops(kept)
 
-        monkeypatch.setattr(cc4, "_ones", spy)
+        class LaneSpy:
+            def finditer(self, flags):
+                found.append(flags)
+                return lane.finditer(flags)
+
+        monkeypatch.setattr(cc4, "_tops", spy)
+        monkeypatch.setattr(cc4, "_LANE", LaneSpy())
         assert hidden_activations(net, bw("11111111")).value == sum(1 << h - 1 - i for i in at)
-        assert (found == [flags]) == (10 * kept <= h)
-        assert found in ([], [flags])
+        packed = [flags if kept <= cc4._WALK else flags.to_bytes(h, "little")]
+        assert (found == packed) == (10 * kept <= h)
+        assert found in ([], packed)
 
     @pytest.mark.parametrize("h", [128, 129])
     def test_an_index_only_past_128_anchors(self, h):
