@@ -33,6 +33,7 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--hypothesis-seed=0"]
 
 CC4, FIRE = "src/unarynet/cc4.py", "tests/test_cc4.py::TestBlockFilter::"
+DATASET, AS_TRAINED = "src/unarynet/dataset.py", "tests/test_cli.py::TestEvalEncodesAsTrained"
 LANES = FIRE + "test_kept_set_is_the_byte_table_marking_of_the_lane_sums"
 
 # (what it breaks, file, old text, new text, test ids that must kill it)
@@ -64,11 +65,22 @@ MUTANTS = [
      "fired << 1 | ((query ^ anchor).bit_count() <= radius)",
      "fired << 1 | ((query ^ anchor).bit_count() < radius)",
      ["tests/test_acceptance.py::test_criterion_4_radius_law"]),
-    ("a clamped value below the range lands one value up", "src/unarynet/dataset.py",
+    ("a clamped value below the range lands one value up", DATASET,
      "min(max(v, lo), hi)", "min(max(v, lo + 1), hi)",
      ["tests/test_dataset.py::TestBinning::test_clamp_at_one_bin_per_value",
-      "tests/test_cli.py::TestEvalEncodesAsTrained::"
-      "test_clamp_puts_values_outside_the_range_in_the_end_bins"]),
+      AS_TRAINED + "::test_clamp_puts_values_outside_the_range_in_the_end_bins"]),
+    ("a bin spans one value more than its share of the range", DATASET,
+     "span = hi - lo + 1", "span = hi - lo + 2",
+     ["tests/test_dataset.py::TestQuantizeEncodeReference::test_matches_per_value_reference"]),
+    ("eval re-bins over the data's own ranges, not the model's", DATASET,
+     "ds.labels, ranges), q,", "ds.labels, ds.feature_ranges), q,",
+     [AS_TRAINED, "tests/test_dataset.py::TestEncodeAsTrained"]),
+    ("eval's label scan lets a label equal to the class count through", DATASET,
+     "if label >= m)", "if label > m)",
+     ["tests/test_cli.py::TestTrainPredictEval::test_eval_label_past_class_count_names_its_row"]),
+    ("copy and pickle rebuild a Record by position, which CheckGrid refuses",
+     "src/unarynet/bitvec.py", "return cls(**fields)", "return cls(*fields.values())",
+     ["tests/test_records.py"]),
     ("sweep accepts --r-max of the pattern width + 1", "src/unarynet/cli.py",
      "args.r_max > width:", "args.r_max > width + 1:",
      ["tests/test_cli.py::TestSweep::test_r_max_bounded_by_pattern_width"]),

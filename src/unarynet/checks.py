@@ -20,32 +20,33 @@ from . import bitvec, cc4, codes
 from .bitvec import BitWord, Record
 from .rng import Lcg64
 
-# grid key: its CheckGrid field, least and most value, and name in a guard
-# message. Grids beyond these enumeration guards are rejected, not attempted,
-# and the guards run in this order.
+# grid key: its CheckGrid field, default, least and most value, and name in a
+# guard message. A field whose default is a tuple takes several values. Grids
+# beyond these enumeration guards are rejected, not attempted, and the guards
+# run in this order.
 _BOUNDS = {
-    "metric": ("metric_max_len", 1, 8, "metric length"),
-    "gray": ("gray_width", 1, 20, "gray width"),
-    "lengths": ("fixed_lengths", 1, 64, "fixed lengths"),
-    "ks": ("gen_ks", 1, 5, "repetition k"),
-    "n": ("gen_max_value", 1, 16, "generalized max value"),
-    "widths": ("widths", 1, 12, "pattern widths"),
+    "metric": ("metric_max_len", 8, 1, 8, "metric length"),
+    "gray": ("gray_width", 10, 1, 20, "gray width"),
+    "lengths": ("fixed_lengths", (8, 16, 32, 64), 1, 64, "fixed lengths"),
+    "ks": ("gen_ks", (2, 3, 4, 5), 1, 5, "repetition k"),
+    "n": ("gen_max_value", 8, 1, 16, "generalized max value"),
+    "widths": ("widths", (4, 8, 10), 1, 12, "pattern widths"),
     # as widths: a larger ball already covers every word
-    "radii": ("radii", 0, 12, "radii"),
-    "sets": ("training_sets", 1, 100, "training_sets"),
-    "samples": ("max_samples", 1, 32, "max_samples"),
-    "outbits": ("output_bits", 1, 8, "output_bits"),
-    "bias": ("bias_vectors", 1, 1000, "bias_vectors"),
-    "seed": ("seed", None, None, None),  # any int
+    "radii": ("radii", (0, 1, 2, 3), 0, 12, "radii"),
+    "sets": ("training_sets", 20, 1, 100, "training_sets"),
+    "samples": ("max_samples", 10, 1, 32, "max_samples"),
+    "outbits": ("output_bits", 2, 1, 8, "output_bits"),
+    "bias": ("bias_vectors", 200, 1, 1000, "bias_vectors"),
+    "seed": ("seed", 1, None, None, None),  # any int
 }
 # Byte lanes, held by the asserts to the bounds above so that none carries or
 # borrows: a radius-law sum, r - s + 1 plus at most width weights, is a byte
 # _OFFSET + sum; a word's fire flags are a "<I" lane, a bit per sample; and a
 # triangle byte 127 + d(a, c) - d(a, b) - d(b, c) lies in 127 - 2L..127 + L.
 _OFFSET, _LANE = 128, calcsize("<I")
-assert 2 * _BOUNDS["widths"][2] - 1 <= _OFFSET and _BOUNDS["samples"][2] <= 8 * _LANE
-assert _BOUNDS["radii"][2] + 1 + _BOUNDS["widths"][2] < 256 - _OFFSET
-assert 2 * _BOUNDS["metric"][2] <= 127 < 256 - _BOUNDS["metric"][2]
+assert 2 * _BOUNDS["widths"][3] - 1 <= _OFFSET and _BOUNDS["samples"][3] <= 8 * _LANE
+assert _BOUNDS["radii"][3] + 1 + _BOUNDS["widths"][3] < 256 - _OFFSET
+assert 2 * _BOUNDS["metric"][3] <= 127 < 256 - _BOUNDS["metric"][3]
 # _OFFSET + sum -> _OFFSET + sum + weight, and -> 1 if the sum is positive, else 0
 _STEPS = {1: bytes(range(1, 256)) + b"\0", -1: b"\xff" + bytes(range(255))}
 _FIRE = bytes(v > _OFFSET for v in range(256))
@@ -66,44 +67,27 @@ def _guard(cond: bool, what: str) -> None:
         raise ValueError(f"grid guard exceeded: {what}")
 
 
-# the CheckGrid parameters, in _BOUNDS order
-_FIELDS = tuple(attr for attr, *_ in _BOUNDS.values())
+# each CheckGrid parameter's default, in _BOUNDS order
+_DEFAULTS = {attr: default for attr, default, *_ in _BOUNDS.values()}
 
 
 class CheckGrid(Record):
     """The grid's parameters, one per _BOUNDS key. A parameter not given keeps
-    its class default below; a grid is immutable and checked when made."""
+    its default there; a grid is immutable and checked when made."""
 
-    __match_args__ = _FIELDS
-
-    metric_max_len: int = 8
-    gray_width: int = 10
-    fixed_lengths: tuple[int, ...] = (8, 16, 32, 64)
-    gen_ks: tuple[int, ...] = (2, 3, 4, 5)
-    gen_max_value: int = 8
-    widths: tuple[int, ...] = (4, 8, 10)
-    radii: tuple[int, ...] = (0, 1, 2, 3)
-    training_sets: int = 20
-    max_samples: int = 10
-    output_bits: int = 2
-    bias_vectors: int = 200
-    seed: int = 1
+    __match_args__ = tuple(_DEFAULTS)
 
     def __init__(self, **overrides) -> None:
-        unknown = overrides.keys() - _FIELDS
+        unknown = overrides.keys() - _DEFAULTS.keys()
         if unknown:
             raise TypeError(f"CheckGrid has no parameter {min(unknown)!r}")
-        vars(self).update(overrides)
-        for attr, lo, hi, label in _BOUNDS.values():
-            values = getattr(self, attr) if _many(attr) else [getattr(self, attr)]
+        vars(self).update(_DEFAULTS, **overrides)
+        for attr, default, lo, hi, label in _BOUNDS.values():
+            value = getattr(self, attr)
+            values = value if isinstance(default, tuple) else [value]
             _guard(len(values) > 0, f"{attr} must not be empty")
             if label:
                 _guard(all(lo <= v <= hi for v in values), f"{label} must be {lo}..{hi}")
-
-
-def _many(attr: str) -> bool:
-    """Whether a CheckGrid field takes several values, as its default does."""
-    return isinstance(getattr(CheckGrid, attr), tuple)
 
 
 class PropertyResult(Record):
@@ -568,11 +552,12 @@ def parse_grid(spec: str) -> CheckGrid:
         if key not in _BOUNDS:
             raise ValueError(
                 f"unknown grid key {key!r}; known: {', '.join(sorted(_BOUNDS))}")
-        attr = _BOUNDS[key][0]
+        attr, default, *_ = _BOUNDS[key]
+        many = isinstance(default, tuple)
         if attr in overrides:
             raise ValueError(f"grid key {key!r} is given twice")
         try:
-            if not _many(attr):
+            if not many:
                 value = int(raw)
             elif "-" in raw:
                 lo, _, hi = raw.partition("-")
@@ -586,7 +571,7 @@ def parse_grid(spec: str) -> CheckGrid:
             _guard(value.stop - value.start <= MAX_RANGE_LEN,
                    f"{key} range {raw} is longer than {MAX_RANGE_LEN}")
             value = tuple(value)
-        elif _many(attr):
+        elif many:
             _guard(len(value) <= MAX_RANGE_LEN,
                    f"{key} list has {len(value)} values, more than {MAX_RANGE_LEN}")
             _guard(len(set(value)) == len(value), f"{key} list {raw} repeats a value")

@@ -168,30 +168,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from dataclasses import replace
     from . import dataset
     net = _load_model(args.model)
-    # before the quantizer, so that a CSV fault names its line; any label below m is
-    # a class of the model, so a held-out file need not hold every class
+    # before the quantizer, so that a CSV fault names its line
     ds = dataset.load_dataset(args.data, dense=False)
-    try:
-        q, ranges = dataset.read_quantizer(net.quantizer, net.pattern_width)
-    except ValueError as e:
-        raise ValueError(f"{args.model}: {e}") from None
-    if len(ds.feature_names) != len(ranges):
-        raise ValueError(f"{args.data}: feature count {len(ds.feature_names)} != "
-                         f"{len(ranges)}, the count {args.model} was trained on")
-    row = next((k for k, label in enumerate(ds.labels, 1) if label >= net.output_count), 0)
-    if row:  # before encoding, whose one-hot codec error would not name the row
-        raise ValueError(f"{args.data}: row {row}: label {ds.labels[row - 1]} >= "
-                         f"{net.output_count}, the class count of {args.model}")
-    try:
-        samples = dataset.quantize_encode(replace(ds, feature_ranges=ranges), q,
-                                          clamp=args.clamp, classes=net.output_count)
-    except ValueError as e:  # a value outside the model's range, named by row
-        raise ValueError(f"{args.data}: {e}") from None
-    report = dataset.evaluate(net, samples)
-    for line in report.lines():
+    samples = dataset.encode_as_trained(net, ds, args.clamp, args.model, args.data)
+    for line in dataset.evaluate(net, samples).lines():
         print(line)
     return 0
 

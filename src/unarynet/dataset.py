@@ -190,7 +190,7 @@ def quantize_encode(
     bin takes its segment from the table, and the columns are shifted
     together into one word per row. Only once a column or a label has failed
     are the rows replayed a value at a time, to name the first faulty row and
-    feature."""
+    feature or label."""
     count, rows = len(ds.feature_names), len(ds.labels)
     if not count == len(ds.columns) == len(ds.feature_ranges):  # the zips below would cut
         raise ValueError(f"feature count mismatch: feature_names has {count}, columns has "
@@ -220,10 +220,37 @@ def quantize_encode(
                 except ValueError as e:
                     raise ValueError(f"row {row + 1}, feature {name!r}: {e}") from None
             if label not in outputs:
-                encode_one_hot(label + 1, classes)  # the codec's error for this label
+                try:
+                    encode_one_hot(label + 1, classes)
+                except ValueError as e:  # the codec's error for this label
+                    raise ValueError(f"row {row + 1}, label: {e}") from None
         raise
     width = length * count
     return [TrainingSample(BitWord(word, width), target) for word, target in zip(words, targets)]
+
+
+def encode_as_trained(net: CC4Network, ds: Dataset, clamp: bool = False,
+                      model: str = "<model>", source: str = "<data>") -> list[TrainingSample]:
+    """Encode ds as net was trained: by the quantizer its header records, over
+    the stored ranges, into its output_count classes (so ds need not hold every
+    class). model and source are the names a refusal gives the two files."""
+    try:
+        q, ranges = read_quantizer(net.quantizer, net.pattern_width)
+    except ValueError as e:
+        raise ValueError(f"{model}: {e}") from None
+    if len(ds.feature_names) != len(ranges):
+        raise ValueError(f"{source}: feature count {len(ds.feature_names)} != "
+                         f"{len(ranges)}, the count {model} was trained on")
+    m = net.output_count
+    row = next((k for k, label in enumerate(ds.labels, 1) if label >= m), 0)
+    if row:  # named as the model's class count, not as the one-hot codec's range
+        raise ValueError(f"{source}: row {row}: label {ds.labels[row - 1]} >= {m}, "
+                         f"the class count of {model}")
+    try:
+        return quantize_encode(Dataset(ds.feature_names, ds.columns, ds.labels, ranges), q,
+                               clamp=clamp, classes=m)
+    except ValueError as e:  # a value outside the model's range, named by row
+        raise ValueError(f"{source}: {e}") from None
 
 
 @dataclass

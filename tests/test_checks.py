@@ -674,7 +674,7 @@ class TestParseGrid:
         section = readme[readme.index("### check"):readme.index("## Determinism")]
         listed = {key: (int(lo), int(hi))
                   for key, lo, hi in re.findall(r"`(\w+)`\s+(\d+)\.\.(\d+)", section)}
-        assert listed == {key: (lo, hi) for key, (_, lo, hi, label)
+        assert listed == {key: (lo, hi) for key, (_, _, lo, hi, label)
                           in checks._BOUNDS.items() if label}
 
     def test_long_range_rejected_before_it_is_built(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from unarynet.bitvec import BitWord
-from unarynet.cc4 import TrainingSample, train
+from unarynet.cc4 import TrainingSample, load_network, save_network, train
 from unarynet.codes import encode_fixed, encode_one_hot
 from unarynet.dataset import (
     MAX_LENGTH,
@@ -14,6 +14,7 @@ from unarynet.dataset import (
     Dataset,
     QuantizationSpec,
     bin_column,
+    encode_as_trained,
     evaluate,
     hamming_ball_volume,
     load_dataset,
@@ -378,8 +379,14 @@ class TestQuantizeEncode:
 
     def test_negative_label_is_refused_not_indexed(self):
         ds = Dataset(("a",), ((1, 2),), (1, -1), ((1, 2),))
-        with pytest.raises(ValueError, match=r"^value 0 outside 1\.\.2$"):
+        with pytest.raises(ValueError, match=r"^row 2, label: value 0 outside 1\.\.2$"):
             quantize_encode(ds, QuantizationSpec(2, 2))
+
+    def test_label_past_the_class_count_names_its_row(self):
+        # a value fault names its row and feature; a label fault names its row
+        ds = Dataset(("a",), ((1, 2),), (0, 4), ((1, 2),))
+        with pytest.raises(ValueError, match=r"^row 2, label: value 5 outside 1\.\.4$"):
+            quantize_encode(ds, QuantizationSpec(2, 2), classes=4)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="bins"):
@@ -403,8 +410,17 @@ class _Fault(Exception):
         self.where, self.message = where, message
 
 
+def _reference_bin(value, lo, hi, bins, clamp):
+    """The binning rule written out, so that it checks bin_column rather than
+    repeating it: a value outside lo..hi is refused unless clamped into a
+    range that holds a value."""
+    if not lo <= value <= hi and not (clamp and lo <= hi):
+        raise ValueError(f"value {value} outside declared range {lo}..{hi}")
+    return (min(max(value, lo), hi) - lo) * bins // (hi - lo + 1)
+
+
 def _reference_encode(ds, q, clamp, classes):
-    """quantize_encode one value at a time: bin_column of one value, then the codec."""
+    """quantize_encode one value at a time: _reference_bin, then the codec."""
     classes = ds.num_classes if classes is None else classes
     width = q.length * len(ds.feature_ranges)
     samples = []
@@ -412,7 +428,7 @@ def _reference_encode(ds, q, clamp, classes):
         row = 0
         for name, value, (lo, hi) in zip(ds.feature_names, features, ds.feature_ranges):
             try:
-                [b] = bin_column((value,), lo, hi, q.bins, clamp=clamp)
+                b = _reference_bin(value, lo, hi, q.bins, clamp)
                 segment = (encode_fixed(b, q.length) if q.family == "fixed"
                            else encode_one_hot(b + 1, q.length))
             except ValueError as e:
@@ -473,6 +489,44 @@ class TestQuantizeEncodeReference:
             assert str(got.value) in (fault.message, f"{fault.where}: {fault.message}")
         else:
             assert quantize_encode(ds, q, clamp=clamp, classes=classes) == want
+
+
+@st.composite
+def _trained_cases(draw):
+    """A small dense CSV, the spec it is trained at, and a draw of its row indices."""
+    ranges = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers(-20, 20))
+        ranges.append((lo, lo + draw(st.one_of(st.just(0), st.integers(0, 12)))))
+    classes = draw(st.integers(1, 4))
+    labels = draw(st.permutations(
+        [*range(classes), *draw(st.lists(st.integers(0, classes - 1), max_size=12))]))
+    rows = [[draw(st.integers(lo, hi)) for lo, hi in ranges] + [label] for label in labels]
+    text = ",".join([*(f"f{k}" for k in range(len(ranges))), "label"]) + "\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in rows)
+    length = draw(st.integers(1, 12))
+    q = QuantizationSpec(draw(st.integers(1, length)), length,
+                         draw(st.sampled_from(QUANT_FAMILIES)))
+    subset = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
+    return text, q, draw(st.integers(0, length * len(ranges))), subset
+
+
+class TestEncodeAsTrained:
+    @given(_trained_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_a_saved_model_encodes_as_training_did(self, case):
+        """A saved model carries everything needed to encode a query the way
+        training did: its own rows encode to its training samples, and any
+        rows of them, whose own ranges may be narrower, to theirs."""
+        text, q, radius, subset = case
+        ds = parse_dataset(text)
+        samples = quantize_encode(ds, q)
+        net = train(samples, radius).replace(quantizer=quantizer_words(q, ds.feature_ranges))
+        loaded = load_network(save_network(net))
+        assert encode_as_trained(loaded, ds) == samples
+        head, *body = text.splitlines(keepends=True)
+        some = parse_dataset(head + "".join(body[k] for k in subset), dense=False)
+        assert encode_as_trained(loaded, some) == [samples[k] for k in subset]
 
 
 class TestEvaluate:
